@@ -22,11 +22,11 @@ Design rules:
   any scenario's throughput and on *any* trace-hash change.  Across
   machines (CI vs the committing developer's box) use ``hash_only`` —
   wall-clock numbers are not comparable between hosts, behaviour is.
-* **Reference pass.**  With ``with_reference=True`` the harness re-runs
-  every scenario with every :mod:`repro.perf` flag off and embeds the
-  result, proving in one artifact that the optimized and reference
-  configurations are byte-identical in behaviour and quantifying the
-  speedup between them.
+* **Baselines are older code.**  ``embed_baseline`` attaches a
+  document measured on an earlier commit.  (``BENCH_6.json`` also
+  carries ``flags``/``reference``/``speedup`` sections from a
+  since-deleted flag-off pass; they are historical and :func:`compare`
+  never reads them.)
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.metrics.registry import NULL_METRICS, MetricsRegistry
 from repro.obs.spans import SpanKind
-from repro.perf import FLAGS, PerfFlags, use_flags
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.scheduler.host_selection import select_hosts
@@ -234,39 +233,18 @@ def run_traced(name: str, causal_spans: bool = False):
     return tracer.events()
 
 
-def run_all(quick: bool = False, with_reference: bool = False,
-            label: str = "BENCH_6") -> Dict:
+def run_all(quick: bool = False, label: str = "BENCH_6") -> Dict:
     """Run every scenario; return the canonical bench document."""
     repeats = 1 if quick else 3
-    document: Dict = {
+    return {
         "schema": SCHEMA,
         "label": label,
         "quick": bool(quick),
-        "flags": FLAGS.as_dict(),
         "scenarios": {
             name: run_scenario(name, repeats=repeats)
             for name in SCENARIO_ORDER
         },
     }
-    if with_reference:
-        with use_flags(**PerfFlags.all_off().as_dict()):
-            reference = {
-                name: run_scenario(name, repeats=repeats)
-                for name in SCENARIO_ORDER
-            }
-        document["reference"] = {
-            "flags": PerfFlags.all_off().as_dict(),
-            "scenarios": reference,
-        }
-        document["speedup"] = {
-            name: round(
-                document["scenarios"][name]["throughput"]
-                / reference[name]["throughput"], 2,
-            )
-            for name in SCENARIO_ORDER
-            if reference[name]["throughput"] > 0
-        }
-    return document
 
 
 def embed_baseline(document: Dict, baseline: Dict,
@@ -274,11 +252,8 @@ def embed_baseline(document: Dict, baseline: Dict,
                                "committing machine") -> Dict:
     """Attach an older bench document as this one's fixed baseline.
 
-    Unlike the ``reference`` section (all perf flags off on *current*
-    code), a baseline is a measurement of **older code** — typically the
-    parent commit, before the optimizations landed — so the speedup it
-    yields includes unflagged wins (kernel, algorithmic) that the
-    flag-off reference pass cannot show.  The baseline throughputs are
+    A baseline is a measurement of **older code** — typically the parent
+    commit, before an optimization landed.  The baseline throughputs are
     copied verbatim; ``speedup_vs_baseline`` is this document's
     throughput over the baseline's, per scenario.
     """
@@ -377,12 +352,6 @@ def format_document(document: Dict) -> str:
             f"{s['events_per_s']:>10.0f} {s['tasks_scheduled']:>6} "
             f"{s['tasks_per_s']:>9.0f}  {s['trace_hash'][:16]}..."
         )
-    if "speedup" in document:
-        rendered = ", ".join(
-            f"{name} {ratio:.2f}x"
-            for name, ratio in document["speedup"].items()
-        )
-        lines.append(f"speedup vs reference (flags off): {rendered}")
     if "speedup_vs_baseline" in document:
         rendered = ", ".join(
             f"{name} {ratio:.2f}x"

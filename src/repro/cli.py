@@ -872,11 +872,7 @@ def cmd_bench(args) -> int:
               "bench' from the repository root")
         return 1
 
-    document = harness.run_all(
-        quick=args.quick,
-        with_reference=args.with_reference,
-        label=args.label,
-    )
+    document = harness.run_all(quick=args.quick, label=args.label)
     if args.baseline:
         try:
             with open(args.baseline, encoding="utf-8") as fh:
@@ -1108,9 +1104,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=0.20,
                        help="with --compare: allowed fractional throughput "
                             "drop (default 0.20)")
-    bench.add_argument("--with-reference", action="store_true",
-                       help="re-run every scenario with all perf flags off "
-                            "and embed the reference + speedup")
     bench.add_argument("--baseline", metavar="PATH",
                        help="an older bench document (pre-optimization "
                             "code) to embed verbatim as this document's "

@@ -1,12 +1,12 @@
 """Per-site indexed host tables for the host-selection hot path.
 
-The reference path (:meth:`~repro.repository.store.SiteRepository.
-runnable_up_hosts` + the name sort in :func:`~repro.scheduler.
-host_selection.candidate_hosts`) walks every registered host and
-re-sorts the survivors on **every** ``Predict`` round — O(hosts log
-hosts) per task per site.  The populations those scans iterate over
-change only on registration events (host or executable registered,
-host decommissioned), which both member databases already version.
+Host selection needs, per task and per site, the up hosts with the
+task's executable installed, in name order.  Walking every registered
+host and re-sorting the survivors on every ``Predict`` round costs
+O(hosts log hosts) per task per site, yet the populations that scan
+iterates over change only on registration events (host or executable
+registered, host decommissioned), which both member databases already
+version.
 
 :class:`HostIndex` therefore caches, per task type, the name-sorted
 list of hosts with that executable installed, keyed by the pair
@@ -19,11 +19,11 @@ of the two version counters (population changes bump
 ``registration_version``, in-place drains bump ``state_version``), so
 every join/drain/depart/rejoin invalidates the cache by construction.
 
-Equivalence argument (pinned by ``tests/scheduler/test_host_index.py``):
-filtering commutes with sorting, so
+Exactness (pinned by ``tests/scheduler/test_host_index.py`` against
+:meth:`~repro.repository.store.SiteRepository.runnable_up_hosts`, the
+plain scan kept as the oracle): filtering commutes with sorting, so
 ``sorted(filter(up, runnable)) == filter(up, sorted(runnable))`` — the
-index returns exactly the reference answer in exactly the reference
-order.
+index returns exactly the scan's hosts in name order.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ on bench_scalability.
 ``(model, task_type, scale, n_nodes, host name, reported load,
 available memory, memory_mb, extra_load)``
 
+The cache only stores.  Its one reader,
+:func:`~repro.scheduler.host_selection.bid_for_task`, fetches the
+:meth:`PredictCache.table` for a bid's context once and then looks up
+— and on a miss, computes and fills — one entry per candidate host.
+
 Exact keys, never quantized buckets: a hit returns the float the model
 itself computed for identical inputs, so results are bit-identical by
 construction and the determinism oracles cannot tell the cache was
@@ -34,7 +39,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.repository.resources import HostRecord
 from repro.repository.taskperf import TaskPerformanceDB
 
 if TYPE_CHECKING:  # pragma: no cover - avoid repository -> scheduler cycle
@@ -61,8 +65,6 @@ class PredictCache:
         self._tables: Dict["PredictionModel", Dict[Tuple, float]] = {}
         self._model: Optional["PredictionModel"] = None
         self._table: Dict[Tuple, float] = {}
-        self.hits = 0
-        self.misses = 0
 
     def table(
         self,
@@ -99,35 +101,6 @@ class PredictCache:
         if inner is None:
             inner = outer[ctx] = {}
         return inner
-
-    def predict(
-        self,
-        model: "PredictionModel",
-        task_type: str,
-        scale: float,
-        n_nodes: int,
-        host: HostRecord,
-        memory_mb: Optional[int],
-        extra_load: float,
-    ) -> float:
-        table = self.table(model, task_type, scale, n_nodes, memory_mb)
-        key = (host.spec.name, host.load, host.available_memory_mb, extra_load)
-        value = table.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        value = model.predict(
-            task_type,
-            scale,
-            n_nodes,
-            host,
-            self._task_perf,
-            memory_mb=memory_mb,
-            extra_load=extra_load,
-        )
-        table[key] = value
-        self.misses += 1
-        return value
 
     def clear(self) -> None:
         self._tables.clear()

@@ -35,7 +35,7 @@ class SiteRepository:
         self.resources = ResourcePerformanceDB(site_name)
         self.task_perf = TaskPerformanceDB(site_name)
         self.constraints = TaskConstraintsDB(site_name)
-        #: perf-layer accessories (see repro.perf): version-invalidated,
+        #: host-selection hot-path accessories: version-invalidated,
         #: derived state only — never serialized, rebuilt on restore
         self.host_index = HostIndex(self.resources, self.constraints)
         self.predict_cache = PredictCache(self.task_perf)
@@ -113,11 +113,13 @@ class SiteRepository:
     def runnable_up_hosts(self, task_type: str) -> list:
         """Hosts that are up, ACTIVE members, and have the executable.
 
-        The intersection the host-selection algorithm iterates over.
-        Non-ACTIVE membership states (joining, draining, rejoining) are
-        excluded here — the reference semantics the host index must
-        reproduce — so a draining host stops attracting placements the
-        instant its transition is recorded.
+        A plain scan over every registered host, unsorted.
+        Host selection reads the same set, name-sorted, from
+        :class:`~repro.repository.host_index.HostIndex`; this scan is
+        the oracle that index is tested against.  Non-ACTIVE membership
+        states (joining, draining, rejoining) are excluded, so a
+        draining host stops attracting placements the instant its
+        transition is recorded.
         """
         return [
             record

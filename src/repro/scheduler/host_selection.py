@@ -50,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import repro.perf as perf
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.task import TaskNode
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
@@ -101,19 +100,13 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
     """Feasible hosts for ``task`` at this site, in stable name order.
 
     The sorted order is a repository invariant the rest of host
-    selection depends on (bids are built positionally from it); the
-    indexed and reference paths both uphold it, and
-    ``tests/scheduler/test_host_index.py`` pins the two paths to the
-    same answer.  Preference filters preserve relative order, so
-    filtering the index's pre-sorted table equals sorting the filtered
-    reference scan.
+    selection depends on (bids are built positionally from it).  The
+    host index hands out its name-sorted table, and the preference
+    filters preserve relative order, so no re-sort is needed.  The
+    result may be the index's cached table itself: callers that filter
+    it further build new lists.
     """
-    if perf.FLAGS.host_index:
-        records = repo.host_index.runnable_up_hosts(task.task_type)
-        presorted = True
-    else:
-        records = repo.runnable_up_hosts(task.task_type)
-        presorted = False
+    records = repo.host_index.runnable_up_hosts(task.task_type)
     props = task.properties
     if props.preferred_machine is not None:
         records = [r for r in records if r.name == props.preferred_machine]
@@ -121,9 +114,7 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
         records = [
             r for r in records if _matches_machine_type(r, props.preferred_machine_type)
         ]
-    if presorted:
-        return records
-    return sorted(records, key=lambda r: r.name)
+    return records
 
 
 def _reachability(afg: ApplicationFlowGraph) -> Dict[str, Set[str]]:
@@ -157,19 +148,21 @@ def _reachability(afg: ApplicationFlowGraph) -> Dict[str, Set[str]]:
 class CommitmentLedger:
     """In-round commitment accounting with O(|related|) queries.
 
-    The reference path answers "how many tasks already placed on host
-    ``R`` can run concurrently with ``task_i``?" by rescanning *every*
-    commitment on ``R`` for every (task, host) prediction — O(total
-    commitments) per pair, quadratic over a large bag.  The ledger
-    keeps per-host totals and, once per queried task, a per-host count
-    of that task's *related* (ordered) placements; the concurrent count
-    is then ``total[R] - related_on[R]`` in O(1).
+    The question is "how many tasks already placed on host ``R`` this
+    round can run concurrently with ``task_i``?" — the placements on
+    ``R`` that are neither ancestors nor descendants of ``task_i``.
+    Rescanning every commitment on ``R`` for every (task, host)
+    prediction costs O(total commitments) per pair, quadratic over a
+    large bag.  The ledger keeps per-host totals and, once per queried
+    task, a per-host count of that task's *related* (ordered)
+    placements; the concurrent count is then ``total[R] -
+    related_on[R]`` in O(1).
 
-    Equivalence: every committed task appears at most once per host
-    (bid host groups are duplicate-free), and relatedness is symmetric,
-    so subtracting the related placements from the total is exactly the
-    reference's "count others not in related[task]" — same float, every
-    query.
+    Exactness: every committed task appears at most once per host (bid
+    host groups are duplicate-free), and relatedness is symmetric, so
+    subtracting the related placements from the total counts exactly
+    the unrelated ones — pinned against a naive rescan by
+    ``tests/scheduler/test_commitment_ledger.py``.
     """
 
     def __init__(self, related: Dict[str, Set[str]]):
@@ -186,14 +179,6 @@ class CommitmentLedger:
         for host in hosts:
             total[host] = total.get(host, 0) + 1
         self._for_task = None  # per-task overlap is stale now
-
-    def extra_load(self, task_id: str, host_name: str) -> float:
-        """Concurrent in-round commitments on ``host_name`` vs ``task_id``."""
-        if task_id != self._for_task:
-            self._begin(task_id)
-        return float(
-            self._total.get(host_name, 0) - self._related_on.get(host_name, 0)
-        )
 
     def extra_load_fn(self, task_id: str):
         """A one-argument ``extra_load_of`` bound to ``task_id``.
@@ -275,84 +260,46 @@ def bid_for_task(
     memory_mb = props.memory_mb if props.memory_mb > 0 else None
     task_type = task.task_type
     scale = props.workload_scale
-    if perf.FLAGS.predict_cache and n_nodes == 1:
-        # The hot case (every sequential task, every site, every round):
-        # an explicit min-loop with hoisted locals.  Equivalent to
-        # ``min((time, name) for ...)``: the smallest time wins, a time
-        # tie breaks to the smaller name, and names are unique so the
-        # tuple comparison never ties out.  ``x * 1.0`` is bit-exact
-        # ``x`` for finite predictions, so the factor multiply is
-        # skipped entirely when no health hook supplied one.
-        table = repo.predict_cache.table(model, task_type, scale, 1, memory_mb)
-        table_get = table.get
-        model_predict = model.predict
-        task_perf = repo.task_perf
-        factor_get = factors.get if factors else None
-        best_time = best_name = None
-        for record in candidates:
-            name = record.spec.name
-            extra = extra_load_of(name)
-            key = (name, record.load, record.available_memory_mb, extra)
-            t = table_get(key)
-            if t is None:
-                t = model_predict(
-                    task_type, scale, 1, record, task_perf,
-                    memory_mb=memory_mb, extra_load=extra,
-                )
-                table[key] = t
-            if factor_get is not None:
-                t *= factor_get(name, 1.0)
-            if (
-                best_name is None
-                or t < best_time
-                or (t == best_time and name < best_name)
-            ):
-                best_time, best_name = t, name
-        return HostSelectionResult(
-            task_id=task.id,
-            site=repo.site_name,
-            hosts=(best_name,),
-            predicted_time=best_time,
-        )
-    if perf.FLAGS.predict_cache:
-        cache = repo.predict_cache
-        pairs = (
-            (
-                cache.predict(
-                    model,
-                    task_type,
-                    scale,
-                    n_nodes,
-                    record,
-                    memory_mb,
-                    float(extra_load_of(record.name)),
-                )
-                * factors.get(record.name, 1.0),
-                record.name,
+    # One pass over the candidates with hoisted locals: each prediction
+    # is looked up in (or filled into) the memo table for this bid's
+    # context.  A sequential task keeps a running minimum, equivalent to
+    # ``min((time, name) for ...)``: the smallest time wins, a time tie
+    # breaks to the smaller name, and names are unique so the tuple
+    # comparison never ties out.  A parallel task collects the
+    # ``(time, name)`` pairs and takes the ``n_nodes`` smallest.
+    # ``x * 1.0`` is bit-exact ``x`` for finite predictions, so the
+    # factor multiply is skipped entirely when no health hook supplied
+    # one.
+    table = repo.predict_cache.table(model, task_type, scale, n_nodes, memory_mb)
+    table_get = table.get
+    model_predict = model.predict
+    task_perf = repo.task_perf
+    factor_get = factors.get if factors else None
+    sequential = n_nodes == 1
+    pairs: List[Tuple[float, str]] = []
+    best_time = best_name = None
+    for record in candidates:
+        name = record.spec.name
+        extra = extra_load_of(name)
+        key = (name, record.load, record.available_memory_mb, extra)
+        t = table_get(key)
+        if t is None:
+            t = model_predict(
+                task_type, scale, n_nodes, record, task_perf,
+                memory_mb=memory_mb, extra_load=extra,
             )
-            for record in candidates
-        )
-    else:
-        pairs = (
-            (
-                model.predict(
-                    task_type,
-                    scale,
-                    n_nodes,
-                    record,
-                    repo.task_perf,
-                    memory_mb=memory_mb,
-                    extra_load=float(extra_load_of(record.name)),
-                )
-                * factors.get(record.name, 1.0),
-                record.name,
-            )
-            for record in candidates
-        )
-    if n_nodes == 1:
-        # min over (time, name) tuples is sorted(...)[0]: same winner,
-        # same tie-break, no O(m log m) sort for the common case
-        best_time, best_name = min(pairs)
+            table[key] = t
+        if factor_get is not None:
+            t *= factor_get(name, 1.0)
+        if not sequential:
+            pairs.append((t, name))
+        elif (
+            best_name is None
+            or t < best_time
+            or (t == best_time and name < best_name)
+        ):
+            best_time, best_name = t, name
+    if sequential:
         chosen_hosts: Tuple[str, ...] = (best_name,)
         predicted_time = best_time
     else:
@@ -413,26 +360,15 @@ def select_hosts(
             raise ValueError("order must be a permutation of the AFG's tasks")
         queue = list(order)
 
-    related = _reachability(afg)
-    ledger = CommitmentLedger(related) if perf.FLAGS.commit_ledger else None
-    #: in-round commitments: host -> task ids assigned there (reference)
-    committed: Dict[str, List[str]] = {}
+    ledger = CommitmentLedger(_reachability(afg))
 
     for task_id in queue:
         task = afg.task(task_id)
-
-        if ledger is not None:
-            concurrent_commitments = ledger.extra_load_fn(task_id)
-        else:
-            def concurrent_commitments(host_name: str, task_id=task_id) -> float:
-                others = committed.get(host_name, ())
-                return float(
-                    sum(1 for other in others if other not in related[task_id])
-                )
-
         # Step 4: Predict(task, Rj) for every feasible Rj, with the
         # in-round load of concurrent commitments added.
-        bid = bid_for_task(task, repo, model, concurrent_commitments, health_of)
+        bid = bid_for_task(
+            task, repo, model, ledger.extra_load_fn(task_id), health_of
+        )
         if bid is None:
             if metrics.enabled:
                 metrics.counter(
@@ -451,10 +387,6 @@ def select_hosts(
                 task=task.id, site=bid.site, hosts=bid.hosts,
                 predicted_time=bid.predicted_time,
             )
-        if ledger is not None:
-            ledger.commit(task_id, bid.hosts)
-        else:
-            for host_name in bid.hosts:
-                committed.setdefault(host_name, []).append(task_id)
+        ledger.commit(task_id, bid.hosts)
         results[task.id] = bid
     return results

@@ -42,7 +42,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import repro.perf as perf
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.levels import compute_levels
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
@@ -79,6 +78,11 @@ class _MaxStr(str):
 
     def __lt__(self, other) -> bool:  # pragma: no branch - trivial
         return str.__gt__(self, other)
+
+
+def _no_extra_load(host_name: str) -> float:
+    """The E13 ablation's in-round load: placements are not counted."""
+    return 0.0
 
 
 @dataclass
@@ -172,16 +176,12 @@ class SiteScheduler:
             return local_perf.base_cost(node.task_type, node.properties.workload_scale)
 
         levels = compute_levels(afg, cost)
-        related = _reachability(afg)
-        #: federation-wide in-round commitments — an O(1)-query ledger
-        #: on the optimized path, the reference host -> task-ids dict
-        #: otherwise (the two agree bid for bid; see CommitmentLedger)
+        #: federation-wide in-round commitments (None: the E13 ablation)
         ledger: Optional[CommitmentLedger] = (
-            CommitmentLedger(related)
-            if perf.FLAGS.commit_ledger and self.account_commitments
+            CommitmentLedger(_reachability(afg))
+            if self.account_commitments
             else None
         )
-        committed: Dict[str, List[str]] = {}
 
         table = AllocationTable(afg.name, scheduler=self.name)
         site_by_task: Dict[str, str] = {}
@@ -191,8 +191,8 @@ class SiteScheduler:
         scheduled: Set[str] = set()
         ready: List = sorted(afg.entry_tasks())
         # Heap-backed priority queue: each pop returns exactly
-        # max(ready, key=(level, id)) without the O(n) scan per task.
-        use_heap = self.use_level_priority and perf.FLAGS.commit_ledger
+        # max(ready, key=(level, id)) without an O(n) scan per task.
+        use_heap = self.use_level_priority
         if use_heap:
             ready_set: Set[str] = set(ready)
             ready = [(-levels[t], _MaxStr(t)) for t in ready]
@@ -203,14 +203,10 @@ class SiteScheduler:
             if use_heap:
                 task_id = str(heapq.heappop(ready)[1])
                 ready_set.discard(task_id)
-            elif self.use_level_priority:
-                task_id = max(ready, key=lambda t: (levels[t], t))
-                ready.remove(task_id)
             else:
                 task_id = ready.pop(0)  # FIFO ablation (E9)
             assignment = self._place_task(
-                afg, task_id, sites, view, site_by_task, committed, related,
-                health_of, ledger,
+                afg, task_id, sites, view, site_by_task, health_of, ledger,
             )
             if tracer.enabled:
                 tracer.emit(
@@ -232,9 +228,6 @@ class SiteScheduler:
             table.assign(assignment)
             if ledger is not None:
                 ledger.commit(task_id, assignment.hosts)
-            else:
-                for host_name in assignment.hosts:
-                    committed.setdefault(host_name, []).append(task_id)
             site_by_task[task_id] = assignment.site
             placement_order.append(task_id)
             scheduled.add(task_id)
@@ -262,8 +255,6 @@ class SiteScheduler:
         sites: List[str],
         view: FederationView,
         site_by_task: Dict[str, str],
-        committed: Dict[str, List[str]],
-        related: Dict[str, Set[str]],
         health_of=None,
         ledger: Optional[CommitmentLedger] = None,
     ) -> TaskAssignment:
@@ -272,13 +263,7 @@ class SiteScheduler:
         if ledger is not None:
             extra_load_of = ledger.extra_load_fn(task_id)
         else:
-            def extra_load_of(host_name: str) -> float:
-                if not self.account_commitments:
-                    return 0.0
-                others = committed.get(host_name, ())
-                return float(
-                    sum(1 for other in others if other not in related[task_id])
-                )
+            extra_load_of = _no_extra_load
 
         bids: Dict[str, HostSelectionResult] = {}
         for site in sites:

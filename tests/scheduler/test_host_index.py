@@ -1,21 +1,23 @@
-"""HostIndex equivalence: indexed candidates == reference scan, always.
+"""HostIndex exactness: indexed candidates == a plain scan, always.
 
-The equivalence argument (filtering commutes with sorting) is pinned
+The exactness argument (filtering commutes with sorting) is pinned
 here with randomized repositories: for any population of hosts,
 installed executables and up/down states — including after host
 registration, executable removal, workload churn and quarantine — the
-index must return exactly the reference path's answer in exactly its
-stable name order.
+index must return exactly the scan's answer in stable name order.
 """
 
 import random
 
 import pytest
 
-import repro.perf as perf
 from repro.afg import TaskNode, TaskProperties
 from repro.repository import SiteRepository
-from repro.scheduler.host_selection import bid_for_task, candidate_hosts
+from repro.scheduler.host_selection import (
+    _matches_machine_type,
+    bid_for_task,
+    candidate_hosts,
+)
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
 
@@ -23,7 +25,7 @@ TASK_TYPES = ("math.lu_decompose", "signal.spectrum", "image.convolve")
 
 
 def _reference_answer(repo, task_type):
-    """The pre-index implementation: linear scan, then name sort."""
+    """The scan the index replaces: every up host, then a name sort."""
     return sorted(
         (r for r in repo.resources.up_hosts()
          if repo.constraints.is_runnable(task_type, r.name)),
@@ -94,9 +96,22 @@ def test_index_matches_reference_under_mutation(seed):
                 == _reference_answer(repo, task_type))
 
 
+def _scan_candidates(node, repo):
+    """candidate_hosts' oracle: the repository scan, preference filters
+    applied, then a name sort."""
+    props = node.properties
+    records = repo.runnable_up_hosts(node.task_type)
+    if props.preferred_machine is not None:
+        records = [r for r in records if r.name == props.preferred_machine]
+    if props.preferred_machine_type is not None:
+        records = [r for r in records if _matches_machine_type(
+            r, props.preferred_machine_type)]
+    return sorted(records, key=lambda r: r.name)
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_candidate_hosts_flag_equivalence(seed):
-    """candidate_hosts: indexed and reference paths agree, same order."""
+def test_candidate_hosts_matches_the_scan(seed):
+    """candidate_hosts equals the filtered, sorted repository scan."""
     rng = random.Random(100 + seed)
     repo = _random_repo(rng, n_hosts=12)
     nodes = [
@@ -105,32 +120,27 @@ def test_candidate_hosts_flag_equivalence(seed):
         _node(TASK_TYPES[2], preferred_machine_type="SUN solaris"),
     ]
     for node in nodes:
-        with perf.use_flags(host_index=True):
-            indexed = candidate_hosts(node, repo)
-        with perf.use_flags(host_index=False):
-            reference = candidate_hosts(node, repo)
-        assert indexed == reference
-        names = [r.name for r in indexed]
+        got = candidate_hosts(node, repo)
+        assert got == _scan_candidates(node, repo)
+        names = [r.name for r in got]
         assert names == sorted(names)
 
 
 def test_candidate_hosts_sorted_order_invariant():
     """The documented invariant: bids are built positionally from a
-    name-sorted candidate list, under either flag setting."""
+    name-sorted candidate list, whatever the registration order."""
     repo = SiteRepository("order-site")
     for name in ("zeta", "alpha", "mike", "bravo"):
         repo.resources.register_host(HostSpec(name=name))
         repo.constraints.register(TASK_TYPES[0], name, f"/bin/{name}")
     node = _node(TASK_TYPES[0])
-    for host_index in (True, False):
-        with perf.use_flags(host_index=host_index):
-            names = [r.name for r in candidate_hosts(node, repo)]
-        assert names == ["alpha", "bravo", "mike", "zeta"]
+    names = [r.name for r in candidate_hosts(node, repo)]
+    assert names == ["alpha", "bravo", "mike", "zeta"]
 
 
 def test_quarantine_filter_does_not_corrupt_the_index_cache():
-    """bid_for_task removes quarantined hosts from its candidate list in
-    place; the index must hand out copies so the cached table survives."""
+    """bid_for_task drops quarantined hosts by building a new candidate
+    list; the index's cached table must come through untouched."""
     repo = SiteRepository("quarantine-site")
     for name in ("qa", "qb", "qc"):
         repo.resources.register_host(HostSpec(name=name))
@@ -146,12 +156,11 @@ def test_quarantine_filter_does_not_corrupt_the_index_cache():
     def quarantine_qb(name):
         return None if name == "qb" else 1.0
 
-    with perf.use_flags(host_index=True, predict_cache=True):
-        bid = bid_for_task(node, repo, model, lambda _h: 0.0,
-                           health_of=quarantine_qb)
-        assert bid is not None and "qb" not in bid.hosts
-        # the quarantined host must still be in the (cached) table
-        names = [r.name for r in candidate_hosts(node, repo)]
+    bid = bid_for_task(node, repo, model, lambda _h: 0.0,
+                       health_of=quarantine_qb)
+    assert bid is not None and "qb" not in bid.hosts
+    # the quarantined host must still be in the (cached) table
+    names = [r.name for r in candidate_hosts(node, repo)]
     assert names == ["qa", "qb", "qc"]
 
 
