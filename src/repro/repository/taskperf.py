@@ -54,9 +54,6 @@ class TaskPerformanceDB:
         #: (task_type, host) -> EWMA of measured/expected ratio
         self._host_ratio: Dict[Tuple[str, str], float] = {}
         self.measurements_recorded = 0
-        #: bumped whenever a prediction input changes (registration or
-        #: calibration refinement) — the Predict cache's invalidator
-        self.version = 0
 
     # -- population --------------------------------------------------------
 
@@ -66,7 +63,6 @@ class TaskPerformanceDB:
         if record.computation_size < 0:
             raise ValueError(f"task {record.task_type!r}: negative computation size")
         self._records[record.task_type] = record
-        self.version += 1
         return record
 
     def load_from_registry(self, registry: TaskRegistry) -> int:
@@ -146,7 +142,6 @@ class TaskPerformanceDB:
         )
         self._host_ratio[key] = new
         self.measurements_recorded += 1
-        self.version += 1
         return new
 
     def __len__(self) -> int:

@@ -47,6 +47,7 @@ simply absent from the result — the site declines to bid.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -62,6 +63,7 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 __all__ = [
     "CommitmentLedger",
     "HostSelectionResult",
+    "PredictMemo",
     "bid_for_task",
     "candidate_hosts",
     "select_hosts",
@@ -220,99 +222,167 @@ class CommitmentLedger:
         self._for_task = task_id
 
 
+def _no_extra_load(host_name: str) -> float:
+    """No in-round load: the E13 ablation, and rescheduling one task."""
+    return 0.0
+
+
+def _context(task: TaskNode) -> Tuple[str, float, int, Optional[int]]:
+    """The per-task inputs of ``Predict``: ``(task_type, workload_scale,
+    n_nodes, memory_mb)``, ``memory_mb`` None when the task leaves it to
+    the task-performance DB.  (``TaskProperties`` guarantees
+    ``n_nodes == 1`` for sequential tasks.)"""
+    props = task.properties
+    return (
+        task.task_type, props.workload_scale, props.n_nodes,
+        props.memory_mb or None,
+    )
+
+
+class PredictMemo:
+    """``Predict`` values memoized for one scheduling round.
+
+    A round is one :func:`select_hosts` call or one
+    :meth:`~repro.scheduler.site_scheduler.SiteScheduler.
+    schedule_with_trace` call.  It runs synchronously with one model and
+    nothing writes the repository during it, so a host's load, memory,
+    speed and calibration are fixed for the round: within one site and
+    one task context (see :func:`_context`), the host name and the
+    in-round extra load determine the prediction exactly.  The memo
+    therefore needs no version check and no invalidation — it is simply
+    dropped with the round.
+
+    Only contexts that two or more tasks of the AFG share are memoized
+    (counted once, up front): a bag of identical tasks asks the same
+    question at every site for every task, while a sweep whose tasks
+    all differ in scale would only pay for inserts that never hit.
+    """
+
+    def __init__(self, afg: ApplicationFlowGraph):
+        counts = Counter(map(_context, afg))
+        self._shared = {context for context, n in counts.items() if n > 1}
+        #: (site, context) -> {(host name, extra load): prediction}
+        self._tables: Dict[Tuple[str, Tuple], Dict[Tuple[str, float], float]] = {}
+
+    def table(
+        self, site: str, context: Tuple
+    ) -> Optional[Dict[Tuple[str, float], float]]:
+        """The memo table for ``context`` at ``site``; None if unshared."""
+        key = (site, context)
+        table = self._tables.get(key)
+        if table is None and context in self._shared:
+            table = self._tables[key] = {}
+        return table
+
+    def __len__(self) -> int:
+        return sum(len(table) for table in self._tables.values())
+
+
 def bid_for_task(
     task: TaskNode,
     repo: SiteRepository,
     model: PredictionModel,
     extra_load_of,
     health_of=None,
+    exclude_hosts: frozenset = frozenset(),
+    memo: Optional[PredictMemo] = None,
 ) -> Optional[HostSelectionResult]:
     """Figure 3's inner step for one task at one site.
 
     Evaluates ``Predict(task, Rj)`` over every feasible host (with the
-    caller-supplied in-round load ``extra_load_of(host_name)`` added)
-    and returns the minimising host group, or ``None`` when the site
-    cannot run the task (no feasible hosts, task unknown to its DBs).
+    caller-supplied in-round load ``extra_load_of(host_name)`` added;
+    ``None`` adds none) and returns the minimising host group, or
+    ``None`` when the site cannot run the task (no feasible hosts, task
+    unknown to its DBs).
 
     ``health_of`` (optional, from :class:`~repro.runtime.straggler.
     HostHealth`) maps a host name to a multiplicative prediction
     penalty, or ``None`` for a quarantined host, which is excluded from
-    the candidate set entirely.
+    the candidate set entirely.  ``exclude_hosts`` are dropped from the
+    candidates too (rescheduling away from failed hosts).  ``memo`` is
+    the round's :class:`PredictMemo`, if any.
     """
-    props = task.properties
     candidates = candidate_hosts(task, repo)
-    n_nodes = props.n_nodes if props.is_parallel else 1
     if not repo.task_perf.has(task.task_type):
         return None
-    factors: Dict[str, float] = {}
+    # filters rebuild rather than remove in place: candidate lists may
+    # be the host index's cached table, which is shared and read-only
+    if exclude_hosts:
+        candidates = [r for r in candidates if r.name not in exclude_hosts]
+    factors: Optional[List[float]] = None
     if health_of is not None:
-        # rebuild rather than remove-in-place: candidate lists may be
-        # the host index's cached table, which is shared and read-only
         kept = []
+        factors = []
         for record in candidates:
             factor = health_of(record.name)
             if factor is not None:  # None = quarantined, excluded
-                factors[record.name] = factor
+                factors.append(factor)
                 kept.append(record)
         candidates = kept
+    context = _context(task)
+    task_type, scale, n_nodes, memory_mb = context
     if len(candidates) < n_nodes:
         return None
-    memory_mb = props.memory_mb if props.memory_mb > 0 else None
-    task_type = task.task_type
-    scale = props.workload_scale
-    # One pass over the candidates with hoisted locals: each prediction
-    # is looked up in (or filled into) the memo table for this bid's
-    # context.  A sequential task keeps a running minimum, equivalent to
-    # ``min((time, name) for ...)``: the smallest time wins, a time tie
-    # breaks to the smaller name, and names are unique so the tuple
-    # comparison never ties out.  A parallel task collects the
-    # ``(time, name)`` pairs and takes the ``n_nodes`` smallest.
-    # ``x * 1.0`` is bit-exact ``x`` for finite predictions, so the
-    # factor multiply is skipped entirely when no health hook supplied
-    # one.
-    table = repo.predict_cache.table(model, task_type, scale, n_nodes, memory_mb)
-    table_get = table.get
-    model_predict = model.predict
-    task_perf = repo.task_perf
-    factor_get = factors.get if factors else None
-    sequential = n_nodes == 1
-    pairs: List[Tuple[float, str]] = []
-    best_time = best_name = None
-    for record in candidates:
-        name = record.spec.name
-        extra = extra_load_of(name)
-        key = (name, record.load, record.available_memory_mb, extra)
-        t = table_get(key)
-        if t is None:
-            t = model_predict(
-                task_type, scale, n_nodes, record, task_perf,
-                memory_mb=memory_mb, extra_load=extra,
-            )
-            table[key] = t
-        if factor_get is not None:
-            t *= factor_get(name, 1.0)
-        if not sequential:
-            pairs.append((t, name))
-        elif (
-            best_name is None
-            or t < best_time
-            or (t == best_time and name < best_name)
-        ):
-            best_time, best_name = t, name
-    if sequential:
-        chosen_hosts: Tuple[str, ...] = (best_name,)
-        predicted_time = best_time
+    if extra_load_of is None:
+        extra_load_of = _no_extra_load
+    # Score every candidate in one model pass — or, when the round memo
+    # covers this context, look each host up and make one pass over the
+    # misses only.
+    table = memo.table(repo.site_name, context) if memo is not None else None
+    if table is None:
+        names = [record.spec.name for record in candidates]
+        times = model.predict_hosts(
+            task_type, scale, n_nodes, candidates, repo.task_perf,
+            memory_mb, list(map(extra_load_of, names)),
+        )
     else:
-        chosen = sorted(pairs)[:n_nodes]
+        # one explicit loop: measurably cheaper per bid than separate
+        # name/key/lookup comprehensions on identical-task bags, where
+        # this path runs for every bid
+        table_get = table.get
+        names = []
+        times = []
+        missing = []  # indices into times, and their hosts and loads
+        miss_hosts = []
+        miss_extras = []
+        for record in candidates:
+            name = record.spec.name
+            extra = extra_load_of(name)
+            t = table_get((name, extra))
+            if t is None:
+                missing.append(len(times))
+                miss_hosts.append(record)
+                miss_extras.append(extra)
+            names.append(name)
+            times.append(t)
+        if missing:
+            fresh = model.predict_hosts(
+                task_type, scale, n_nodes, miss_hosts, repo.task_perf,
+                memory_mb, miss_extras,
+            )
+            for i, extra, t in zip(missing, miss_extras, fresh):
+                times[i] = table[names[i], extra] = t
+    # Health penalties multiply after scoring, so they never reach the
+    # memo.
+    if factors is not None:
+        times = [t * f for t, f in zip(times, factors)]
+    # Candidates are name-sorted, so the first minimum is the minimum of
+    # ``(time, name)``: the smallest time wins and a time tie breaks to
+    # the smaller name.  A parallel task takes the ``n_nodes`` smallest
+    # ``(time, name)`` pairs.
+    if n_nodes == 1:
+        predicted_time = min(times)
+        chosen_hosts: Tuple[str, ...] = (names[times.index(predicted_time)],)
+    else:
+        chosen = sorted(zip(times, names))[:n_nodes]
         chosen_hosts = tuple(name for _, name in chosen)
         # parallel slices run concurrently; the group finishes with its
         # slowest member (the largest selected prediction)
         predicted_time = chosen[-1][0]
+    # positional: keyword construction of a frozen dataclass costs a
+    # measurable share of a bid
     return HostSelectionResult(
-        task_id=task.id,
-        site=repo.site_name,
-        hosts=chosen_hosts,
-        predicted_time=predicted_time,
+        task.id, repo.site_name, chosen_hosts, predicted_time
     )
 
 
@@ -361,13 +431,16 @@ def select_hosts(
         queue = list(order)
 
     ledger = CommitmentLedger(_reachability(afg))
+    #: Predict values this round's bids share, dropped with the round
+    memo = PredictMemo(afg)
 
     for task_id in queue:
         task = afg.task(task_id)
         # Step 4: Predict(task, Rj) for every feasible Rj, with the
         # in-round load of concurrent commitments added.
         bid = bid_for_task(
-            task, repo, model, ledger.extra_load_fn(task_id), health_of
+            task, repo, model, ledger.extra_load_fn(task_id), health_of,
+            memo=memo,
         )
         if bid is None:
             if metrics.enabled:

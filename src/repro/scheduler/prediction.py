@@ -26,9 +26,11 @@ the sensitivity experiment (E10); noise is deterministic per
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -87,19 +89,50 @@ class PredictionModel:
     ) -> float:
         """Predicted execution time of one task slice on ``host``.
 
-        For a parallel task (``n_nodes > 1``) this is the time of the
-        per-node slice under the library's speedup model; the caller
+        :meth:`predict_hosts` for a one-host list: the formula lives
+        there, once.
+        """
+        return self.predict_hosts(
+            task_type, scale, n_nodes, (host,), task_perf, memory_mb,
+            (extra_load,),
+        )[0]
+
+    # -- every candidate of one bid ------------------------------------------
+
+    def predict_hosts(
+        self,
+        task_type: str,
+        scale: float,
+        n_nodes: int,
+        hosts: Sequence[HostRecord],
+        task_perf: TaskPerformanceDB,
+        memory_mb: Optional[int] = None,
+        extra_loads: Optional[Sequence[float]] = None,
+    ) -> List[float]:
+        """Predicted execution time of one task slice on each of ``hosts``.
+
+        One bid asks the same task question of every candidate host, so
+        the per-task work — the task-performance record, the span work
+        under the parallel speedup, the memory requirement and the model
+        flags — is done once here, and only the per-host arithmetic runs
+        in the loop.  Each host's value is computed in the single-host
+        order: ``span_work x (1 + load + extra) / speed``, then the
+        memory penalty, the (task, host) calibration and the noise
+        factor, so a value does not depend on which other hosts share
+        the call.
+
+        For a parallel task (``n_nodes > 1``) the values are per-node
+        slice times under the library's speedup model; the caller
         combines slices across the chosen host group via
         :meth:`predict_group`.
 
-        ``extra_load`` is *scheduling-round* load: run-queue entries the
-        caller has already committed to this host while placing the
-        same application (see :mod:`repro.scheduler.host_selection`).
-        It is deliberately unaffected by ``ignore_load``, which only
-        blinds the model to the *measured background* load.
+        ``extra_loads`` (parallel to ``hosts``; default all zero) is
+        *scheduling-round* load: run-queue entries the caller has
+        already committed to each host while placing the same
+        application (see :mod:`repro.scheduler.host_selection`).  It is
+        deliberately unaffected by ``ignore_load``, which only blinds
+        the model to the *measured background* load.
         """
-        if extra_load < 0:
-            raise ValueError("extra_load must be non-negative")
         record = task_perf.get(task_type)
         total_work = record.computation_size * scale
         if n_nodes > 1:
@@ -110,22 +143,35 @@ class PredictionModel:
             span_work = total_work / record.parallel.speedup(n_nodes)
         else:
             span_work = total_work
-
-        load = 0.0 if self.ignore_load else max(0.0, host.load)
-        time = span_work * (1.0 + load + extra_load) / host.spec.speed
-
-        required_mb = memory_mb if memory_mb is not None else int(
-            np.ceil(record.required_memory_mb * scale)
+        required_mb = memory_mb if memory_mb is not None else math.ceil(
+            record.required_memory_mb * scale
         )
-        if required_mb > host.available_memory_mb:
-            time *= self.memory_penalty
-
-        if self.use_calibration:
-            time *= task_perf.host_calibration(task_type, host.name)
-
-        if self.noise > 0.0:
-            time *= self._noise_factor(task_type, host.name)
-        return time
+        if extra_loads is None:
+            extra_loads = repeat(0.0)
+        ignore_load = self.ignore_load
+        penalty = self.memory_penalty
+        calibration = (
+            task_perf.host_calibration if self.use_calibration else None
+        )
+        noisy = self.noise > 0.0
+        times: List[float] = []
+        for host, extra_load in zip(hosts, extra_loads):
+            if extra_load < 0:
+                raise ValueError("extra_load must be non-negative")
+            spec = host.spec
+            # ``max(0.0, load)``, spelled out: NaN and -0.0 become 0.0
+            load = host.load
+            if ignore_load or not load > 0.0:
+                load = 0.0
+            time = span_work * (1.0 + load + extra_load) / spec.speed
+            if required_mb > host.available_memory_mb:
+                time *= penalty
+            if calibration is not None:
+                time *= calibration(task_type, spec.name)
+            if noisy:
+                time *= self._noise_factor(task_type, spec.name)
+            times.append(time)
+        return times
 
     # -- host group (parallel tasks) ------------------------------------------
 

@@ -51,6 +51,7 @@ from repro.scheduler.federation import FederationView
 from repro.scheduler.host_selection import (
     CommitmentLedger,
     HostSelectionResult,
+    PredictMemo,
     _reachability,
     bid_for_task,
 )
@@ -78,11 +79,6 @@ class _MaxStr(str):
 
     def __lt__(self, other) -> bool:  # pragma: no branch - trivial
         return str.__gt__(self, other)
-
-
-def _no_extra_load(host_name: str) -> float:
-    """The E13 ablation's in-round load: placements are not counted."""
-    return 0.0
 
 
 @dataclass
@@ -182,6 +178,8 @@ class SiteScheduler:
             if self.account_commitments
             else None
         )
+        #: Predict values this round's bids share, dropped with the round
+        memo = PredictMemo(afg)
 
         table = AllocationTable(afg.name, scheduler=self.name)
         site_by_task: Dict[str, str] = {}
@@ -207,6 +205,7 @@ class SiteScheduler:
                 task_id = ready.pop(0)  # FIFO ablation (E9)
             assignment = self._place_task(
                 afg, task_id, sites, view, site_by_task, health_of, ledger,
+                memo,
             )
             if tracer.enabled:
                 tracer.emit(
@@ -257,19 +256,20 @@ class SiteScheduler:
         site_by_task: Dict[str, str],
         health_of=None,
         ledger: Optional[CommitmentLedger] = None,
+        memo: Optional[PredictMemo] = None,
     ) -> TaskAssignment:
         task = afg.task(task_id)
 
-        if ledger is not None:
-            extra_load_of = ledger.extra_load_fn(task_id)
-        else:
-            extra_load_of = _no_extra_load
+        # the E13 ablation (no ledger) counts no in-round placements
+        extra_load_of = (
+            ledger.extra_load_fn(task_id) if ledger is not None else None
+        )
 
         bids: Dict[str, HostSelectionResult] = {}
         for site in sites:
             bid = bid_for_task(
                 task, view.repository(site), self.model, extra_load_of,
-                health_of,
+                health_of, memo=memo,
             )
             if bid is not None:
                 bids[site] = bid

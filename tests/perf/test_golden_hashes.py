@@ -1,8 +1,10 @@
 """Golden behaviour hashes for the scheduler and monitor hot paths.
 
-Host lookup (:class:`~repro.repository.host_index.HostIndex`), memoized
-``Predict`` (:class:`~repro.repository.predict_cache.PredictCache`),
-in-round commitment accounting
+Host lookup (:class:`~repro.repository.host_index.HostIndex`), one-pass
+``Predict`` scoring with a per-round memo
+(:meth:`~repro.scheduler.prediction.PredictionModel.predict_hosts`,
+:class:`~repro.scheduler.host_selection.PredictMemo`), in-round
+commitment accounting
 (:class:`~repro.scheduler.host_selection.CommitmentLedger` and the site
 scheduler's heap ready queue) and batched monitor/echo bookkeeping each
 replaced a straightforward scan.  The pinned ``(trace_hash, metrics

@@ -8,8 +8,11 @@ illegal move, the registration-symmetry guards (satellite 1), and the
 persistence round-trip of a partially-deregistered site.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.afg import TaskNode
 from repro.repository.persistence import restore_repository, snapshot_repository
 from repro.repository.resources import (
     MembershipError,
@@ -18,6 +21,8 @@ from repro.repository.resources import (
     ResourcePerformanceDB,
 )
 from repro.repository.store import SiteRepository
+from repro.scheduler.host_selection import bid_for_task
+from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
 from repro.sim.kernel import Simulator
 from repro.sim.site import make_uniform_site
@@ -172,26 +177,53 @@ class TestRegistrationSymmetry:
 
 
 class TestMembershipInvalidation:
-    def test_every_transition_clears_predict_cache(self):
+    def test_every_transition_reaches_the_next_bid(self, monkeypatch):
+        """Drain, deregister, rejoin with a new speed, activate: after
+        each step the next bid at the site scores exactly the ACTIVE
+        hosts, and the rejoined host is scored with its new spec."""
         sim = Simulator()
         site = make_uniform_site(sim, "syr", n_hosts=3)
-        repo = SiteRepository.bootstrap(site, default_registry())
-        def prime():
-            repo.predict_cache._tables["probe"] = {}
+        registry = default_registry()
+        repo = SiteRepository.bootstrap(site, registry)
+        task_type = registry.names()[0]
+        node = TaskNode(id="t0", task_type=task_type, n_out_ports=1)
+        model = PredictionModel()
+        scored = {}
+        predict_hosts = PredictionModel.predict_hosts
 
-        prime()
+        def spy(self, task_type, scale, n_nodes, hosts, *args, **kwargs):
+            scored.clear()
+            scored.update((h.name, h.spec.speed) for h in hosts)
+            return predict_hosts(self, task_type, scale, n_nodes, hosts,
+                                 *args, **kwargs)
+
+        monkeypatch.setattr(PredictionModel, "predict_hosts", spy)
+
+        def bid():
+            return bid_for_task(node, repo, model, None)
+
+        old_speed = site.host("syr-h01").spec.speed
+        assert bid().primary_host == "syr-h00"  # uniform: name tie-break
+        assert set(scored) == {"syr-h00", "syr-h01", "syr-h02"}
         repo.resources.begin_draining("syr-h01", time=1.0)
-        assert "probe" not in repo.predict_cache._tables
-        prime()
+        bid()
+        assert set(scored) == {"syr-h00", "syr-h02"}
         repo.deregister_host("syr-h01")
-        assert "probe" not in repo.predict_cache._tables
-        prime()
-        repo.resources.rejoin_host(site.host("syr-h01").spec,
-                                   group="syr-g0", time=2.0)
-        assert "probe" not in repo.predict_cache._tables
-        prime()
+        bid()
+        assert set(scored) == {"syr-h00", "syr-h02"}
+        faster = replace(site.host("syr-h01").spec, speed=4.0 * old_speed)
+        repo.resources.rejoin_host(faster, group="syr-g0", time=2.0)
+        repo.constraints.register(task_type, "syr-h01", "/bin/rejoined")
+        bid()
+        assert set(scored) == {"syr-h00", "syr-h02"}  # still REJOINING
         repo.resources.activate_host("syr-h01", time=3.0)
-        assert "probe" not in repo.predict_cache._tables
+        winner = bid()
+        assert scored == {"syr-h00": old_speed, "syr-h01": 4.0 * old_speed,
+                          "syr-h02": old_speed}
+        assert winner.primary_host == "syr-h01"
+        assert winner.predicted_time == model.predict(
+            task_type, 1.0, 1, repo.resources.get("syr-h01"),
+            repo.task_perf)
 
     def test_runnable_up_hosts_excludes_non_active(self):
         sim = Simulator()
