@@ -648,17 +648,14 @@ def cmd_resume(args) -> int:
     import json as _json
 
     from repro.runtime.checkpoint import final_output_hashes, resume_run
+    from repro.trace.tracer import NULL_TRACER, Tracer
 
-    tracer = None
+    tracer = Tracer() if args.trace else NULL_TRACER
     runtime_config = None
-    if args.trace:
-        from repro.trace.tracer import Tracer
-
-        tracer = Tracer()
     if args.spans:
         from repro.runtime.vdce_runtime import RuntimeConfig
 
-        if tracer is None:
+        if not args.trace:
             print("error: --spans needs --trace (spans live in the trace)")
             return 1
         runtime_config = RuntimeConfig(causal_spans=True)

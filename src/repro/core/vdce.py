@@ -218,7 +218,7 @@ class VDCE:
 
     @property
     def tracer(self) -> Tracer:
-        return self.runtime.tracer
+        return self.sim.tracer
 
     def save_trace(self, path: str) -> str:
         """Write the recorded trace as JSONL; returns the path."""
@@ -230,7 +230,7 @@ class VDCE:
 
     @property
     def metrics(self) -> MetricsRegistry:
-        return self.runtime.metrics
+        return self.sim.metrics
 
     def metrics_snapshot(self) -> dict:
         """Export end-of-run stats into the registry and snapshot it."""

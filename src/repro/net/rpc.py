@@ -29,11 +29,10 @@ import inspect
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
+from repro.obs.spans import SpanKind, SpanRecorder
 from repro.sim.kernel import AnyOf, Simulator, Timeout
 from repro.sim.network import LinkDownError, Network
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "BreakerPolicy",
@@ -208,11 +207,9 @@ class BreakerRegistry:
         "open": EventKind.BREAKER_OPEN,
     }
 
-    def __init__(self, sim: Simulator, policy: BreakerPolicy = BreakerPolicy(),
-                 tracer: Tracer = NULL_TRACER):
+    def __init__(self, sim: Simulator, policy: BreakerPolicy = BreakerPolicy()):
         self.sim = sim
         self.policy = policy
-        self.tracer = tracer
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
         #: (time, src, dst, new_state) per transition
         self.transitions: List[Tuple[float, str, str, str]] = []
@@ -231,8 +228,8 @@ class BreakerRegistry:
         if new == old:
             return
         self.transitions.append((self.sim.now, src, dst, new))
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 self._STATE_EVENT[new], source=f"breaker:{src}->{dst}",
                 src=src, dst=dst, previous=old,
             )
@@ -385,16 +382,12 @@ class ControlPlane:
         network: Network,
         stats=None,
         policy: RetryPolicy = RetryPolicy(),
-        tracer: Tracer = NULL_TRACER,
-        spans: SpanRecorder = NULL_SPANS,
         breakers: Optional[BreakerRegistry] = None,
     ):
         self.sim = sim
         self.network = network
         self.stats = stats
         self.policy = policy
-        self.tracer = tracer
-        self.spans = spans
         #: per-destination circuit breakers; None = feature disabled
         self.breakers = breakers
 
@@ -439,7 +432,7 @@ class ControlPlane:
         src_site = self.network.site_of(src_host)
         dst_site = self.network.site_of(dst_host)
         rng = self.sim.rng(f"rpc:{src_site}->{dst_site}")
-        spans = self.spans
+        tracer, spans = self.sim.tracer, self.sim.spans
         rpc_span = None
         if spans.enabled and span is not None and span.span_id >= 0:
             rpc_span = spans.open(
@@ -460,8 +453,8 @@ class ControlPlane:
                         rpc_span, source=rpc_source, status="circuit_open",
                         attempts=attempt - 1,
                     )
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.RPC_TIMEOUT, source=rpc_source,
                         label=label, dst=dst_site, attempts=attempt - 1,
                         circuit_open=True,
@@ -543,8 +536,8 @@ class ControlPlane:
                 breaker.record_failure(src_site, dst_site)
             if self.stats is not None:
                 self.stats.rpc_retries += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.RPC_RETRY, source=f"rpc:{src_site}",
                     label=label, attempt=attempt, dst=dst_site,
                 )
@@ -566,8 +559,8 @@ class ControlPlane:
             )
         if self.stats is not None:
             self.stats.rpc_timeouts += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if tracer.enabled:
+            tracer.emit(
                 EventKind.RPC_TIMEOUT, source=f"rpc:{src_site}",
                 label=label, dst=dst_site, attempts=policy.max_attempts,
             )
@@ -625,6 +618,7 @@ class ControlPlane:
         up silently after ``max_attempts`` (one-way messages have no
         caller to raise into; the periodic echo loop re-notifies).
         """
+        tracer = self.sim.tracer
         policy = policy or self.policy
         rng_name = f"rpc:{label}"
 
@@ -640,8 +634,8 @@ class ControlPlane:
                 return
             if self.stats is not None:
                 self.stats.rpc_retries += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.RPC_RETRY, source=f"rpc:{label}",
                     label=label, attempt=n, one_way=True,
                 )
@@ -651,8 +645,8 @@ class ControlPlane:
             else:
                 if self.stats is not None:
                     self.stats.rpc_timeouts += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.RPC_TIMEOUT, source=f"rpc:{label}",
                         label=label, attempts=policy.max_attempts, one_way=True,
                     )

@@ -222,7 +222,7 @@ class AdmissionQueue:
 
         deadline_at = now + deadline_s if deadline_s is not None else None
         wait_span = None
-        spans = self.runtime.spans
+        spans = self.sim.spans
         entry = _Pending(
             # heap is a min-heap: negate priority so higher goes first
             sort_key=(-account.priority, next(self._seq)),
@@ -285,7 +285,7 @@ class AdmissionQueue:
             "user": user,
             "reason": reason,
         })
-        tracer = self.runtime.tracer
+        tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(
                 EventKind.SHED, source=f"admission:{self.site}",
@@ -313,7 +313,7 @@ class AdmissionQueue:
         entry.state = "shed"
         waited = self.sim.now - entry.submitted_at
         self._record_shed(entry.afg, entry.user, reason, waited_s=waited)
-        spans = self.runtime.spans
+        spans = self.sim.spans
         if entry.wait_span is not None:
             spans.close(
                 entry.wait_span, source=f"admission:{self.site}",
@@ -335,7 +335,7 @@ class AdmissionQueue:
         entry.state = "expired"
         waited = self.sim.now - entry.submitted_at
         self._record_shed(entry.afg, entry.user, "expired", waited_s=waited)
-        spans = self.runtime.spans
+        spans = self.sim.spans
         if entry.wait_span is not None:
             spans.close(
                 entry.wait_span, source=f"admission:{self.site}",
@@ -368,7 +368,7 @@ class AdmissionQueue:
             stats.queue_wait_s += wait
             stats.queue_waits[entry.afg.name] = wait
             if entry.wait_span is not None:
-                self.runtime.spans.close(
+                self.sim.spans.close(
                     entry.wait_span, source=f"admission:{self.site}",
                     wait_s=wait,
                 )
@@ -387,7 +387,7 @@ class AdmissionQueue:
         except Exception as exc:  # noqa: BLE001 - surfaced via the signal
             self._running -= 1
             self.sim.call_at(self.sim.now, self._dispatch)
-            self.runtime.spans.abandon_app(
+            self.sim.spans.abandon_app(
                 entry.afg.name, reason=type(exc).__name__,
                 source=f"admission:{self.site}",
             )

@@ -24,7 +24,6 @@ from repro.sim.host import Host, TaskExecution
 from repro.sim.kernel import Process, Simulator, Timeout
 from repro.runtime.stats import RuntimeStats
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = ["AppController"]
 
@@ -42,7 +41,6 @@ class AppController:
         stats: RuntimeStats,
         load_threshold: float = 4.0,
         check_period_s: float = 2.0,
-        tracer: Tracer = NULL_TRACER,
     ):
         if load_threshold <= 0:
             raise ValueError("load_threshold must be positive")
@@ -51,7 +49,6 @@ class AppController:
         self.sim = sim
         self.host = host
         self.stats = stats
-        self.tracer = tracer
         self.load_threshold = float(load_threshold)
         self.check_period_s = float(check_period_s)
         #: applications whose execution request has arrived
@@ -94,8 +91,8 @@ class AppController:
                     return
                 background = self.host.bg_load
                 if background > self.load_threshold:
-                    if self.tracer.enabled:
-                        self.tracer.emit(
+                    if self.sim.tracer.enabled:
+                        self.sim.tracer.emit(
                             EventKind.LOAD_CANCEL, source=f"ac:{self.host.name}",
                             task=task_id, host=self.host.name, load=background,
                             threshold=self.load_threshold,

@@ -48,7 +48,9 @@ from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.serialize import afg_from_dict, afg_to_dict
 from repro.errors import JournalCorruptError
 from repro.hashing import value_hash
+from repro.metrics.registry import NULL_METRICS, MetricsRegistry
 from repro.scheduler.allocation import AllocationTable
+from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "ApplicationCheckpoint",
@@ -418,8 +420,8 @@ def resume_run(
     directory: str,
     submit_site: Optional[str] = None,
     limit: Optional[float] = None,
-    tracer=None,
-    metrics=None,
+    tracer: Tracer = NULL_TRACER,
+    metrics: MetricsRegistry = NULL_METRICS,
     runtime_config=None,
 ):
     """Rebuild a deployment from a checkpoint directory and finish the app.
@@ -432,8 +434,6 @@ def resume_run(
     resumes, so a run that crashes again resumes from even later.
     """
     from repro.core.vdce import VDCE
-    from repro.metrics.registry import NULL_METRICS
-    from repro.trace.tracer import NULL_TRACER
 
     with open(os.path.join(directory, _META_FILENAME), encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -448,10 +448,8 @@ def resume_run(
     vdce = VDCE(
         spec=_spec_from_meta(meta),
         repositories=repositories,
-        # explicit None checks: an *empty* Tracer/registry is falsy
-        # (len == 0), and `or` would silently swap in the null object
-        tracer=tracer if tracer is not None else NULL_TRACER,
-        metrics=metrics if metrics is not None else NULL_METRICS,
+        tracer=tracer,
+        metrics=metrics,
         **kwargs,
     )
     journal = CheckpointJournal(journal_path(directory))

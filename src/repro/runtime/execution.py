@@ -217,7 +217,6 @@ class ExecutionCoordinator:
         self.runtime = runtime
         self.sim: Simulator = runtime.sim
         self.stats: RuntimeStats = runtime.stats
-        self.tracer = runtime.tracer
         self.afg = afg
         self.table = table
         self.execute_payloads = execute_payloads
@@ -245,8 +244,6 @@ class ExecutionCoordinator:
         self.control = runtime.control
         self.rpc_policy = runtime.config.rpc_policy
         self.data_policy = runtime.config.data_policy
-        #: causal span recorder (runtime-shared; null object when off)
-        self.spans = runtime.spans
         #: this application's root span context (None when spans are off)
         self._root_span = None
         #: sites that never acknowledged their allocation portion
@@ -282,10 +279,11 @@ class ExecutionCoordinator:
     # -- protocol ------------------------------------------------------------
 
     def _run(self):
+        tracer, spans = self.sim.tracer, self.sim.spans
         submitted_at = self.sim.now
         source = f"app:{self.afg.name}"
-        if self.spans.enabled:
-            self._root_span = self.spans.root_of(self.afg.name, source=source)
+        if spans.enabled:
+            self._root_span = spans.root_of(self.afg.name, source=source)
 
         # Phase 0: journal the schedule (fresh run) or the resume.
         if self._resuming:
@@ -297,18 +295,18 @@ class ExecutionCoordinator:
                 completed=sorted(self._restored),
             )
             self.stats.resumes += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.RESUME, source=source,
                     submit_site=self.submit_site,
                     completed=len(self._restored),
                 )
             if self._root_span is not None:
-                resume_span = self.spans.open(
+                resume_span = spans.open(
                     SpanKind.RESUME, self.afg.name, parent=self._root_span,
                     source=source, completed=len(self._restored),
                 )
-                self.spans.close(resume_span, source=source)
+                spans.close(resume_span, source=source)
         else:
             self._journal_append(
                 "schedule",
@@ -321,40 +319,40 @@ class ExecutionCoordinator:
         # Phase 1: distribute allocation-table portions.
         alloc_span = None
         if self._root_span is not None:
-            alloc_span = self.spans.open(
+            alloc_span = spans.open(
                 SpanKind.ALLOCATION, self.afg.name, parent=self._root_span,
                 source=source,
             )
-        with self.tracer.span("allocation", source=source):
+        with tracer.span("allocation", source=source):
             yield from self._distribute_allocation(span=alloc_span)
         if alloc_span is not None:
-            self.spans.close(alloc_span, source=source)
+            spans.close(alloc_span, source=source)
 
         # Phase 2: channel setup + acks for every AFG edge.
         chan_span = None
         if self._root_span is not None:
-            chan_span = self.spans.open(
+            chan_span = spans.open(
                 SpanKind.CHANNEL_SETUP, self.afg.name, parent=self._root_span,
                 source=source, edges=len(self.afg.edges),
             )
-        with self.tracer.span("channel_setup", source=source):
+        with tracer.span("channel_setup", source=source):
             yield from self._setup_channels(span=chan_span)
         if chan_span is not None:
-            self.spans.close(chan_span, source=source)
+            spans.close(chan_span, source=source)
 
         # Phase 3: the execution startup signal.
         self.stats.startup_signals += 1
         yield Timeout(_STARTUP_BROADCAST_S)
         startup_at = self.sim.now
-        if self.tracer.enabled:
-            self.tracer.emit(EventKind.STARTUP_SIGNAL, source=source)
+        if tracer.enabled:
+            tracer.emit(EventKind.STARTUP_SIGNAL, source=source)
 
         # Phase 4: per-task processes; wait for all of them.  AllOf
         # subscribes (and so observes) every process up front: when one
         # task fails terminally, the first error propagates here as a
         # typed ExecutionError while sibling failures stay observed.
         try:
-            with self.tracer.span("execution", source=source):
+            with tracer.span("execution", source=source):
                 procs = [
                     self.sim.process(
                         self._task_process(task_id),
@@ -375,7 +373,7 @@ class ExecutionCoordinator:
         # crashed Site Manager cannot take updates.
         collect_span = None
         if self._root_span is not None:
-            collect_span = self.spans.open(
+            collect_span = spans.open(
                 SpanKind.COLLECT, self.afg.name, parent=self._root_span,
                 source=source,
             )
@@ -391,8 +389,8 @@ class ExecutionCoordinator:
                     measured_s=record.measured_time,
                 )
         if collect_span is not None:
-            self.spans.close(collect_span, source=source)
-            self.spans.close_root(
+            spans.close(collect_span, source=source)
+            spans.close_root(
                 self.afg.name, source=source,
                 makespan_s=finished_at - startup_at,
             )
@@ -438,14 +436,14 @@ class ExecutionCoordinator:
                     # parents under the allocation span (the remote path
                     # gets the same via the RPC attempt context)
                     if span is not None:
-                        self.spans.push(span)
+                        self.sim.spans.push(span)
                     try:
                         local_signal = self.runtime.site_managers[
                             site_name
                         ].distribute_allocation(snapshot, self.afg)
                     finally:
                         if span is not None:
-                            self.spans.pop()
+                            self.sim.spans.pop()
                 else:
                     procs.append(
                         self.sim.process(
@@ -486,8 +484,8 @@ class ExecutionCoordinator:
                 "vdce_checkpoint_bytes",
                 "bytes appended to application checkpoint journals",
             ).inc(n, application=self.afg.name)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.CHECKPOINT, source=f"app:{self.afg.name}",
                 record=kind, bytes=n,
             )
@@ -535,8 +533,8 @@ class ExecutionCoordinator:
                 "membership_warning", task=task_id,
                 hosts=list(assignment.hosts), stale=stale,
             )
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if self.sim.tracer.enabled:
+                self.sim.tracer.emit(
                     EventKind.RESUME_MEMBERSHIP_WARNING, source=source,
                     task=task_id, stale=stale,
                 )
@@ -576,8 +574,8 @@ class ExecutionCoordinator:
                 span=span,
             )
         except RpcTimeout:
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if self.sim.tracer.enabled:
+                self.sim.tracer.emit(
                     EventKind.SITE_UNREACHABLE, source=f"app:{self.afg.name}",
                     remote=site_name, phase="allocation",
                 )
@@ -623,8 +621,8 @@ class ExecutionCoordinator:
             # failure-driven restart like any other (satellite of the
             # total_control_messages composition fix)
             self.stats.failure_restarts += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if self.sim.tracer.enabled:
+                self.sim.tracer.emit(
                     EventKind.RESCHEDULE, source=f"app:{self.afg.name}",
                     task=task_id, reason=reason,
                     from_site=self.assignment[task_id].site,
@@ -750,13 +748,14 @@ class ExecutionCoordinator:
         loss or a down link the exchange retries with backoff, and an
         exhausted policy is a typed execution failure.
         """
+        tracer = self.sim.tracer
         src_host = self.assignment[edge.src].primary_host
         dst_host = self.assignment[edge.dst].primary_host
 
         def on_send(attempt: int) -> None:
             self.stats.channel_setups += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.CHANNEL_SETUP, source=f"app:{self.afg.name}",
                     edge=[edge.src, edge.dst], src_host=src_host,
                     dst_host=dst_host,
@@ -764,8 +763,8 @@ class ExecutionCoordinator:
 
         def on_reply(attempt: int) -> None:
             self.stats.channel_acks += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.CHANNEL_ACK, source=f"app:{self.afg.name}",
                     edge=[edge.src, edge.dst],
                 )
@@ -786,8 +785,8 @@ class ExecutionCoordinator:
         """Re-run channel setup after a mid-flight link failure."""
         record.channel_reestablishes += 1
         self.stats.channel_reestablishes += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.CHANNEL_REESTABLISH, source=f"app:{self.afg.name}",
                 edge=[edge.src, edge.dst],
             )
@@ -805,6 +804,7 @@ class ExecutionCoordinator:
         Returns the completed :class:`~repro.sim.network.Transfer`, so
         integrity-aware callers can inspect its ``corruption`` marker.
         """
+        tracer = self.sim.tracer
         network = self.runtime.topology.network
         metrics = self.sim.metrics
         policy = self.data_policy
@@ -821,8 +821,8 @@ class ExecutionCoordinator:
                     "inter-task payload size per dataflow transfer",
                     buckets=(0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0),
                 ).observe(size_mb)
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.DATA_TRANSFER, source=f"app:{self.afg.name}",
                     src=src_host, dst=dst_host, size_mb=size_mb,
                     edge=[edge.src, edge.dst] if edge is not None else None,
@@ -838,8 +838,8 @@ class ExecutionCoordinator:
                     ) from exc
                 record.transfer_retries += 1
                 self.stats.transfer_retries += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.TRANSFER_RETRY, source=f"app:{self.afg.name}",
                         label=label, attempt=attempt, reason=str(exc),
                     )
@@ -855,6 +855,7 @@ class ExecutionCoordinator:
     # -- per-task execution -----------------------------------------------------
 
     def _task_process(self, task_id: str):
+        tracer, spans = self.sim.tracer, self.sim.spans
         node = self.afg.task(task_id)
         assignment = self.assignment[task_id]
         record = TaskRecord(
@@ -868,7 +869,7 @@ class ExecutionCoordinator:
         self.records[task_id] = record
         task_span = None
         if self._root_span is not None:
-            task_span = self.spans.open(
+            task_span = spans.open(
                 SpanKind.TASK, self.afg.name, parent=self._root_span,
                 source=f"app:{self.afg.name}", task=task_id,
                 task_type=node.task_type, site=assignment.site,
@@ -881,7 +882,7 @@ class ExecutionCoordinator:
         if in_edges:
             wait_span = None
             if task_span is not None:
-                wait_span = self.spans.open(
+                wait_span = spans.open(
                     SpanKind.INPUT_WAIT, self.afg.name, parent=task_span,
                     source=f"app:{self.afg.name}", task=task_id,
                     edges=len(in_edges),
@@ -890,7 +891,7 @@ class ExecutionCoordinator:
                 value = yield self._edge_ready[_edge_key(edge)]
                 port_values[edge.dst_port] = value
             if wait_span is not None:
-                self.spans.close(wait_span, source=f"app:{self.afg.name}")
+                spans.close(wait_span, source=f"app:{self.afg.name}")
 
         # Stage explicit file inputs from the submitting site's server.
         src_server = self.runtime.topology.site(self.submit_site).server_host.name
@@ -898,7 +899,7 @@ class ExecutionCoordinator:
         if file_inputs:
             stage_span = None
             if task_span is not None:
-                stage_span = self.spans.open(
+                stage_span = spans.open(
                     SpanKind.STAGE_IN, self.afg.name, parent=task_span,
                     source=f"app:{self.afg.name}", task=task_id,
                     files=len(file_inputs),
@@ -910,7 +911,7 @@ class ExecutionCoordinator:
                 )
                 port_values[binding.port] = value
             if stage_span is not None:
-                self.spans.close(stage_span, source=f"app:{self.afg.name}")
+                spans.close(stage_span, source=f"app:{self.afg.name}")
 
         inputs = [port_values.get(p) for p in range(node.n_in_ports)]
 
@@ -919,8 +920,8 @@ class ExecutionCoordinator:
 
         # Execute, retrying through reschedules.
         record.started_at = self.sim.now
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if tracer.enabled:
+            tracer.emit(
                 EventKind.TASK_START, source=f"app:{self.afg.name}",
                 task=task_id, task_type=node.task_type,
                 site=record.site, hosts=record.hosts,
@@ -928,8 +929,8 @@ class ExecutionCoordinator:
         yield from self._execute_with_recovery(node, record, inputs,
                                                span=task_span)
         record.finished_at = self.sim.now
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if tracer.enabled:
+            tracer.emit(
                 EventKind.TASK_FINISH, source=f"app:{self.afg.name}",
                 task=task_id, site=record.site, hosts=record.hosts,
                 measured_time=record.measured_time, attempts=record.attempts,
@@ -981,7 +982,7 @@ class ExecutionCoordinator:
                 name=f"xfer:{edge.src}->{edge.dst}",
             )
         if task_span is not None:
-            self.spans.close(
+            spans.close(
                 task_span, source=f"app:{self.afg.name}",
                 attempts=record.attempts, measured_s=record.measured_time,
             )
@@ -994,13 +995,14 @@ class ExecutionCoordinator:
         so the consumer task (and with it the application) fails with
         the typed error instead of hanging forever.
         """
+        spans = self.sim.spans
         key = _edge_key(edge)
         sent_at = self.sim.now
         src_host = self.assignment[edge.src].primary_host
         dst_host = self.assignment[edge.dst].primary_host
         out_span = None
-        if span is not None and self.spans.enabled:
-            out_span = self.spans.open(
+        if span is not None and spans.enabled:
+            out_span = spans.open(
                 SpanKind.STAGE_OUT, self.afg.name, parent=span,
                 source=f"app:{self.afg.name}", task=edge.src,
                 edge=[edge.src, edge.dst], size_mb=edge.size_mb,
@@ -1018,7 +1020,7 @@ class ExecutionCoordinator:
                 )
         except (ExecutionError, DataIntegrityError) as exc:
             if out_span is not None:
-                self.spans.close(
+                spans.close(
                     out_span, source=f"app:{self.afg.name}", status="failed",
                 )
             self._edge_ready[key].fail(exc)
@@ -1029,7 +1031,7 @@ class ExecutionCoordinator:
                 "dataflow transfer time on the contended network",
             ).observe(self.sim.now - sent_at)
         if out_span is not None:
-            self.spans.close(out_span, source=f"app:{self.afg.name}")
+            spans.close(out_span, source=f"app:{self.afg.name}")
         self._edge_value[key] = value
         self._edge_ready[key].succeed(value)
 
@@ -1057,8 +1059,8 @@ class ExecutionCoordinator:
 
         def ensure_repair_span():
             nonlocal repair_span
-            if repair_span is None and self.spans.enabled:
-                repair_span = self.spans.open(
+            if repair_span is None and self.sim.spans.enabled:
+                repair_span = self.sim.spans.open(
                     SpanKind.REPAIR, app, parent=parent_span,
                     source=f"app:{app}", edge=[edge.src, edge.dst],
                 )
@@ -1066,7 +1068,7 @@ class ExecutionCoordinator:
         def close_repair_span(status: str) -> None:
             nonlocal repair_span
             if repair_span is not None:
-                self.spans.close(
+                self.sim.spans.close(
                     repair_span, source=f"app:{app}", status=status,
                 )
                 repair_span = None
@@ -1197,14 +1199,14 @@ class ExecutionCoordinator:
             artifact.regenerations += 1
         integrity.note_regeneration(app, task_id, depth, charged)
         regen_span = None
-        if span is not None and self.spans.enabled:
-            regen_span = self.spans.open(
+        if span is not None and self.sim.spans.enabled:
+            regen_span = self.sim.spans.open(
                 SpanKind.REPAIR, app, parent=span, source=f"app:{app}",
                 task=task_id, depth=depth,
             )
         yield Timeout(charged)
         if regen_span is not None:
-            self.spans.close(regen_span, source=f"app:{app}")
+            self.sim.spans.close(regen_span, source=f"app:{app}")
         # pure re-execution restored the staged copies on the host
         for artifact in artifacts:
             artifact.lost = False
@@ -1263,8 +1265,8 @@ class ExecutionCoordinator:
                     ) from exc
                 record.transfer_retries += 1
                 self.stats.transfer_retries += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if self.sim.tracer.enabled:
+                    self.sim.tracer.emit(
                         EventKind.TRANSFER_RETRY, source=f"app:{self.afg.name}",
                         label=f"stage:{spec.path}", attempt=attempt,
                         reason=str(exc),
@@ -1278,6 +1280,7 @@ class ExecutionCoordinator:
     def _execute_with_recovery(self, node: TaskNode, record: TaskRecord, inputs,
                                span=None):
         """Run the task's slice(s); on failure/threshold, reschedule and retry."""
+        spans = self.sim.spans
         signature = self.runtime.registry.get(node.task_type)
         props = node.properties
         n_nodes = props.n_nodes if props.is_parallel else 1
@@ -1341,8 +1344,8 @@ class ExecutionCoordinator:
             if executions is None:
                 continue
             exec_span = None
-            if span is not None and self.spans.enabled:
-                exec_span = self.spans.open(
+            if span is not None and spans.enabled:
+                exec_span = spans.open(
                     SpanKind.EXECUTE, self.afg.name, parent=span,
                     source=f"app:{self.afg.name}", task=node.id,
                     attempt=record.attempts, host=assignment.primary_host,
@@ -1369,7 +1372,7 @@ class ExecutionCoordinator:
                     if not execution.done.triggered:
                         execution.host.cancel(execution, cause="sibling failed")
                 if exec_span is not None:
-                    self.spans.close(
+                    spans.close(
                         exec_span, source=f"app:{self.afg.name}",
                         status="failed",
                     )
@@ -1390,7 +1393,7 @@ class ExecutionCoordinator:
                     "measured wall time of the successful task attempt",
                 ).observe(record.measured_time, site=record.site)
             if exec_span is not None:
-                self.spans.close(exec_span, source=f"app:{self.afg.name}")
+                spans.close(exec_span, source=f"app:{self.afg.name}")
             return
 
     # -- speculative re-execution (straggler defense) -------------------------
@@ -1410,6 +1413,7 @@ class ExecutionCoordinator:
         last live copy fails, the failure propagates to the normal
         rescheduling path.
         """
+        tracer = self.sim.tracer
         source = f"app:{self.afg.name}"
         outcome = self.sim.signal(
             f"spec:{self.afg.name}:{node.id}:{record.attempts}"
@@ -1456,7 +1460,7 @@ class ExecutionCoordinator:
                 entry["resolved_at"] = self.sim.now
                 entry["outcome"] = "failed"
             if spec_span_box[0] is not None:
-                self.spans.close(
+                self.sim.spans.close(
                     spec_span_box[0], source=source, status="failed",
                 )
             raise
@@ -1473,8 +1477,8 @@ class ExecutionCoordinator:
                     "vdce_speculative_wasted_s",
                     "virtual seconds discarded with cancelled race losers",
                 ).inc(wasted, host=execution.host.name)
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.SPECULATE_CANCEL, source=source,
                     task=node.id, host=execution.host.name, wasted_s=wasted,
                 )
@@ -1483,7 +1487,7 @@ class ExecutionCoordinator:
             entry["resolved_at"] = self.sim.now
             entry["outcome"] = "backup_win" if which == "backup" else "primary_win"
         if spec_span_box[0] is not None:
-            self.spans.close(
+            self.sim.spans.close(
                 spec_span_box[0], source=source,
                 status="win" if which == "backup" else "cancelled",
             )
@@ -1500,8 +1504,8 @@ class ExecutionCoordinator:
             self._note_assignment_epochs(self.assignment[node.id])
             self.stats.speculative_wins += 1
             self._speculative_wins.add(node.id)
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.SPECULATE_WIN, source=source,
                     task=node.id, host=winner.host.name,
                     elapsed_s=winner.elapsed,
@@ -1616,7 +1620,7 @@ class ExecutionCoordinator:
         self.speculation_log.append(entry)
         if task_span is not None and spec_span_box is not None:
             # sibling of the primary's execute span under the task span
-            spec_span_box[0] = self.spans.open(
+            spec_span_box[0] = self.sim.spans.open(
                 SpanKind.SPECULATE_BACKUP, self.afg.name, parent=task_span,
                 source=f"app:{self.afg.name}", task=node.id,
                 host=backup_host, primary_host=primary.host.name,
@@ -1627,8 +1631,8 @@ class ExecutionCoordinator:
                 "vdce_speculative_launches_total",
                 "speculative backup task copies launched",
             ).inc(host=backup_host)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.SPECULATE, source=f"app:{self.afg.name}",
                 task=node.id, primary_host=primary.host.name,
                 backup_host=backup_host, threshold_s=threshold,
@@ -1748,8 +1752,8 @@ class ExecutionCoordinator:
         the original binding.
         """
         resched_span = None
-        if span is not None and self.spans.enabled:
-            resched_span = self.spans.open(
+        if span is not None and self.sim.spans.enabled:
+            resched_span = self.sim.spans.open(
                 span_kind, self.afg.name, parent=span,
                 source=f"app:{self.afg.name}", task=node.id, reason=reason,
             )
@@ -1760,8 +1764,8 @@ class ExecutionCoordinator:
                 "vdce_reschedules_total",
                 "task rescheduling requests, by originating site",
             ).inc(site=self.assignment[node.id].site)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.RESCHEDULE, source=f"app:{self.afg.name}",
                 task=node.id, reason=reason,
                 from_site=self.assignment[node.id].site,
@@ -1830,7 +1834,7 @@ class ExecutionCoordinator:
                 binding.file, src_server, new_primary, record
             )
         if resched_span is not None:
-            self.spans.close(
+            self.sim.spans.close(
                 resched_span, source=f"app:{self.afg.name}",
                 site=new_assignment.site,
             )

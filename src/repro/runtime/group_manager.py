@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
+from repro.obs.spans import SpanKind
 from repro.runtime.monitor import Measurement
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.straggler import HostHealth, PhiAccrualDetector
 from repro.sim.kernel import Process, Simulator, Timeout
 from repro.sim.site import Group
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.site_manager import SiteManager
@@ -48,7 +47,6 @@ class GroupManager:
         lan_latency_s: float = 0.0005,
         echo_loss_prob: float = 0.0,
         suspicion_threshold: int = 1,
-        tracer: Tracer = NULL_TRACER,
         control=None,
         lan_link=None,
         detector: str = "count",
@@ -56,7 +54,6 @@ class GroupManager:
         phi_down: float = 2.0,
         echo_timeout_s: Optional[float] = None,
         health: Optional[HostHealth] = None,
-        spans: SpanRecorder = NULL_SPANS,
     ):
         """``echo_loss_prob`` models a lossy campus LAN: each echo round
         trip independently fails with this probability.  A host is only
@@ -104,7 +101,6 @@ class GroupManager:
         self.lan_latency_s = float(lan_latency_s)
         self.echo_loss_prob = float(echo_loss_prob)
         self.suspicion_threshold = int(suspicion_threshold)
-        self.tracer = tracer
         self._control = control
         self._lan_link = lan_link
         self.detector = detector
@@ -114,7 +110,6 @@ class GroupManager:
             float(echo_timeout_s) if echo_timeout_s is not None else None
         )
         self.health = health
-        self.spans = spans
         #: open failover span between crash and restart (spans on only)
         self._crash_span = None
         #: last workload value forwarded upward, per host
@@ -196,15 +191,15 @@ class GroupManager:
         self.alive = False
         self._generation += 1
         self._failover_pending = False
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.MANAGER_CRASH, source=f"gm:{self.name}",
                 role="group_manager",
             )
-        if self.spans.enabled:
+        if self.sim.spans.enabled:
             # manager-scoped span (no owning application): the window
             # from crash to restart during which the group is headless
-            self._crash_span = self.spans.open(
+            self._crash_span = self.sim.spans.open(
                 SpanKind.FAILOVER, "", source=f"gm:{self.name}",
                 group=self.name,
             )
@@ -270,13 +265,13 @@ class GroupManager:
                     "vdce_failovers_total",
                     "manager failovers completed (deputy promotions)",
                 ).inc(group=self.name)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 kind, source=f"gm:{self.name}", role="group_manager",
                 deputy=deputy,
             )
         if self._crash_span is not None:
-            self.spans.close(
+            self.sim.spans.close(
                 self._crash_span, source=f"gm:{self.name}",
                 status="failover" if kind == EventKind.FAILOVER else "recover",
                 deputy=deputy,
@@ -297,6 +292,7 @@ class GroupManager:
         The first measurement for a host is always significant (the
         Site Manager has nothing yet).
         """
+        tracer = self.sim.tracer
         if not self.alive:
             return  # a dead manager drops reports on the floor
         if measurement.host not in self._believed_up:
@@ -313,8 +309,8 @@ class GroupManager:
                         "measurements filtered by the significant-change test",
                     ).child(group=self.name)
                 child.inc()
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.WORKLOAD_SUPPRESS, source=f"gm:{self.name}",
                     host=measurement.host, load=measurement.load, last=last,
                 )
@@ -329,8 +325,8 @@ class GroupManager:
                     "significant measurements forwarded to the Site Manager",
                 ).child(group=self.name)
             child.inc()
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if tracer.enabled:
+            tracer.emit(
                 EventKind.WORKLOAD_FORWARD, source=f"gm:{self.name}",
                 host=measurement.host, load=measurement.load,
             )
@@ -350,6 +346,7 @@ class GroupManager:
         return self._echo_process
 
     def _echo_loop(self, generation: int):
+        tracer = self.sim.tracer
         rng = self.sim.rng(f"echo:{self.name}")
         echo_child = None
         while True:
@@ -386,8 +383,8 @@ class GroupManager:
                     # exactly the false positive the phi detector avoids
                     if self._echo_rtt(host) > self.echo_timeout_s:
                         responded = False
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.ECHO, source=f"gm:{self.name}",
                         host=host.name, responded=responded,
                     )
@@ -402,8 +399,8 @@ class GroupManager:
                         self.false_positives += 1
                     self.stats.failure_notifications += 1
                     self.stats.record_detection(self.sim.now, host.name, "down")
-                    if self.tracer.enabled:
-                        self.tracer.emit(
+                    if tracer.enabled:
+                        tracer.emit(
                             EventKind.FAILURE_NOTIFICATION,
                             source=f"gm:{self.name}", host=host.name,
                             false_positive=host.is_up(),
@@ -415,8 +412,8 @@ class GroupManager:
                     self._believed_up[host.name] = True
                     self.stats.recovery_notifications += 1
                     self.stats.record_detection(self.sim.now, host.name, "up")
-                    if self.tracer.enabled:
-                        self.tracer.emit(
+                    if tracer.enabled:
+                        tracer.emit(
                             EventKind.RECOVERY_NOTIFICATION,
                             source=f"gm:{self.name}", host=host.name,
                         )
@@ -461,12 +458,13 @@ class GroupManager:
         * believed-down + any arrival -> recovery notification, with
           the detector history reset.
         """
+        tracer = self.sim.tracer
         now = self.sim.now
         det = self._detectors[host.name]
         phi = det.phi(now)
         rtt = self._echo_rtt(host) if responded else None
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if tracer.enabled:
+            tracer.emit(
                 EventKind.ECHO, source=f"gm:{self.name}",
                 host=host.name, responded=responded, rtt_s=rtt, phi=phi,
             )
@@ -478,8 +476,8 @@ class GroupManager:
                 self._believed_up[host.name] = True
                 self.stats.recovery_notifications += 1
                 self.stats.record_detection(now, host.name, "up")
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.RECOVERY_NOTIFICATION,
                         source=f"gm:{self.name}", host=host.name,
                     )
@@ -498,8 +496,8 @@ class GroupManager:
                     self.false_positives += 1
                 self.stats.failure_notifications += 1
                 self.stats.record_detection(now, host.name, "down")
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.FAILURE_NOTIFICATION,
                         source=f"gm:{self.name}", host=host.name,
                         false_positive=host.is_up(), phi=phi,
@@ -514,15 +512,15 @@ class GroupManager:
                     )
             elif phi < self.phi_suspect:
                 self._suspected[host.name] = False
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.TRUST, source=f"gm:{self.name}",
                         host=host.name, phi=phi,
                     )
         elif phi >= self.phi_suspect:
             self._suspected[host.name] = True
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.SUSPECT, source=f"gm:{self.name}",
                     host=host.name, phi=phi,
                 )

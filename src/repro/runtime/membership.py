@@ -55,7 +55,6 @@ class MembershipCoordinator:
     def __init__(self, runtime: "VDCERuntime"):
         self.runtime = runtime
         self.sim = runtime.sim
-        self.tracer = runtime.tracer
         #: audit log of every completed transition, for the churn
         #: invariants (I14-I16) and the chaos report
         self.transitions: List[Dict[str, Any]] = []
@@ -98,14 +97,12 @@ class MembershipCoordinator:
             self.sim, host, gm, runtime.stats,
             period_s=config.monitor_period_s,
             lan_latency_s=lan_latency,
-            tracer=self.tracer,
         )
         runtime.monitors[host.name] = monitor
         controller = AppController(
             self.sim, host, runtime.stats,
             load_threshold=config.load_threshold,
             check_period_s=config.check_period_s,
-            tracer=self.tracer,
         )
         manager.attach_app_controller(controller)
         runtime.app_controllers[host.name] = controller
@@ -135,8 +132,8 @@ class MembershipCoordinator:
             self.runtime.registry.names(), (spec.name,)
         )
         self._wire_host(site_name, group_name, host)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.HOST_JOIN, source=f"membership:{site_name}",
                 host=spec.name, site=site_name, group=group_name,
             )
@@ -163,8 +160,8 @@ class MembershipCoordinator:
         repo = self.runtime.repositories[site_name]
         repo.resources.begin_draining(name, time=self.sim.now)
         self._draining.add(name)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.HOST_DRAIN, source=f"membership:{site_name}",
                 host=name, site=site_name, deadline_s=deadline_s,
                 resident=host.n_running,
@@ -213,8 +210,8 @@ class MembershipCoordinator:
         manager.app_controllers.pop(name, None)
         self._draining.discard(name)
         self._departed_info[name] = (site_name, group.name, host.spec)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.HOST_DEPART, source=f"membership:{site_name}",
                 host=name, site=site_name, epoch=epoch, preempted=preempted,
             )
@@ -255,8 +252,8 @@ class MembershipCoordinator:
         )
         self._wire_host(site_name, group_name, host)
         del self._departed_info[name]
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.HOST_REJOIN, source=f"membership:{site_name}",
                 host=name, site=site_name, epoch=record.epoch,
             )

@@ -20,7 +20,6 @@ from repro.sim.host import Host
 from repro.sim.kernel import Process, Simulator, Timeout
 from repro.runtime.stats import RuntimeStats
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.group_manager import GroupManager
@@ -49,7 +48,6 @@ class MonitorDaemon:
         stats: RuntimeStats,
         period_s: float = 2.0,
         lan_latency_s: float = 0.0005,
-        tracer: Tracer = NULL_TRACER,
     ):
         if period_s <= 0:
             raise ValueError("monitor period must be positive")
@@ -59,7 +57,6 @@ class MonitorDaemon:
         self.stats = stats
         self.period_s = float(period_s)
         self.lan_latency_s = float(lan_latency_s)
-        self.tracer = tracer
         self._process: Optional[Process] = None
         self._stopped = False
 
@@ -126,8 +123,8 @@ class MonitorDaemon:
                     reports_child.inc()
                     load_child.observe(measurement.load)
                     mem_child.observe(measurement.available_memory_mb)
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if self.sim.tracer.enabled:
+                    self.sim.tracer.emit(
                         EventKind.MONITOR_REPORT,
                         source=f"monitor:{self.host.name}",
                         host=measurement.host,

@@ -40,7 +40,6 @@ from typing import Dict, List, Tuple
 
 from repro.net.rpc import RpcError
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = ["BrownoutController", "OverloadPolicy", "SiteOverloaded"]
 
@@ -104,11 +103,9 @@ class BrownoutController:
     cheap and the trace readable.
     """
 
-    def __init__(self, sim, policy: OverloadPolicy,
-                 tracer: Tracer = NULL_TRACER):
+    def __init__(self, sim, policy: OverloadPolicy):
         self.sim = sim
         self.policy = policy
-        self.tracer = tracer
         #: latest occupancy per (site, group)
         self._occupancy: Dict[Tuple[str, str], float] = {}
         self.level = 0
@@ -124,8 +121,8 @@ class BrownoutController:
             return
         old, self.level = self.level, new_level
         self.shifts.append((self.sim.now, old, new_level))
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.BROWNOUT, source="brownout",
                 level=new_level, previous=old,
                 occupancy=round(self.federation_occupancy(), 9),

@@ -25,7 +25,6 @@ from repro.runtime.stats import RuntimeStats
 from repro.sim.kernel import Signal, Simulator
 from repro.sim.network import Network
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = ["ConsoleService", "IOService", "StagedFile"]
 
@@ -56,13 +55,11 @@ class IOService:
         sim: Simulator,
         network: Network,
         stats: RuntimeStats,
-        tracer: Tracer = NULL_TRACER,
         integrity=None,
     ):
         self.sim = sim
         self.network = network
         self.stats = stats
-        self.tracer = tracer
         #: data-integrity manager; None = staged bytes are trusted as-is
         self.integrity = integrity
         self._loaders: Dict[str, Callable[[FileSpec], Any]] = {}
@@ -82,14 +79,15 @@ class IOService:
         Use as ``value = yield from io.stage(spec, src, dst)`` inside a
         kernel process; the transfer rides the real (contended) links.
         """
+        tracer = self.sim.tracer
         if spec.size_mb > 0 or src_host != dst_host:
             transfer = self.network.transfer(
                 src_host, dst_host, spec.size_mb, label=f"io:{spec.path}"
             )
             self.stats.data_transfers += 1
             self.stats.data_transferred_mb += spec.size_mb
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.DATA_TRANSFER, source="io",
                     src=src_host, dst=dst_host, size_mb=spec.size_mb,
                     reason="stage",
@@ -106,8 +104,8 @@ class IOService:
                     f"-damaged on {dst_host}"
                 )
         self.staged_count += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if tracer.enabled:
+            tracer.emit(
                 EventKind.FILE_STAGE, source="io",
                 path=spec.path, dst=dst_host, size_mb=spec.size_mb,
                 url="://" in spec.path,

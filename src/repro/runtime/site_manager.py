@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.net.rpc import ManagerUnavailable
-from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
+from repro.obs.spans import SpanKind
 from repro.repository.store import SiteRepository
 from repro.runtime.monitor import Measurement
 from repro.runtime.overload import SiteOverloaded
@@ -33,7 +33,6 @@ from repro.scheduler.prediction import PredictionModel
 from repro.sim.kernel import Signal, Simulator
 from repro.sim.site import Site
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.app_controller import AppController
@@ -52,9 +51,7 @@ class SiteManager:
         repository: SiteRepository,
         stats: RuntimeStats,
         lan_latency_s: float = 0.0005,
-        tracer: Tracer = NULL_TRACER,
         health=None,
-        spans: SpanRecorder = NULL_SPANS,
         brownout=None,
     ):
         self.sim = sim
@@ -62,8 +59,6 @@ class SiteManager:
         self.repository = repository
         self.stats = stats
         self.lan_latency_s = float(lan_latency_s)
-        self.tracer = tracer
-        self.spans = spans
         #: optional HostHealth: quarantine + prediction penalties folded
         #: into every host selection this site performs
         self.health = health
@@ -104,8 +99,8 @@ class SiteManager:
         if not self.alive:
             return
         self.alive = False
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.MANAGER_CRASH, source=f"sm:{self.name}",
                 role="site_manager",
             )
@@ -123,8 +118,8 @@ class SiteManager:
                 self.repository.resources.mark_down(host_name, time=self.sim.now)
             else:
                 self.repository.resources.mark_up(host_name, time=self.sim.now)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.MANAGER_RECOVER, source=f"sm:{self.name}",
                 role="site_manager", replayed_reports=len(pending),
             )
@@ -245,6 +240,7 @@ class SiteManager:
         Returns a signal that fires when every involved Application
         Controller has received its execution request.
         """
+        tracer, spans = self.sim.tracer, self.sim.spans
         if not self.alive:
             raise ManagerUnavailable(self.name)
         my_tasks = table.tasks_on_site(self.name)
@@ -265,8 +261,8 @@ class SiteManager:
         )
         # Site Manager -> each Group Manager (one message per group) ...
         self.stats.allocation_messages += len(groups_involved)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if tracer.enabled:
+            tracer.emit(
                 EventKind.ALLOCATION_MULTICAST, source=f"sm:{self.name}",
                 application=table.application, groups=groups_involved,
                 hosts=hosts_involved,
@@ -274,20 +270,20 @@ class SiteManager:
         # ... then Group Manager -> each Application Controller
         pending = [len(hosts_involved)]
         fanout_span = None
-        if self.spans.enabled:
+        if spans.enabled:
             # parented to the caller's ambient context: the allocation
             # span for a local call, the RPC attempt for a remote one —
             # this is the cross-site hop that stitches the tree together
-            fanout_span = self.spans.open(
+            fanout_span = spans.open(
                 SpanKind.SM_FANOUT, table.application,
-                parent=self.spans.current, source=f"sm:{self.name}",
+                parent=spans.current, source=f"sm:{self.name}",
                 groups=groups_involved, hosts=len(hosts_involved),
             )
 
         def deliver_to_controller(host_name: str) -> None:
             self.stats.execution_requests += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if tracer.enabled:
+                tracer.emit(
                     EventKind.EXECUTION_REQUEST, source=f"sm:{self.name}",
                     application=table.application, host=host_name,
                 )
@@ -299,7 +295,7 @@ class SiteManager:
             pending[0] -= 1
             if pending[0] == 0:
                 if fanout_span is not None:
-                    self.spans.close(fanout_span, source=f"sm:{self.name}")
+                    spans.close(fanout_span, source=f"sm:{self.name}")
                 done.succeed(hosts_involved)
 
         for host_name in hosts_involved:
@@ -329,8 +325,8 @@ class SiteManager:
                 buckets=(0.25, 0.5, 0.8, 0.9, 0.95, 1.0,
                          1.05, 1.1, 1.25, 2.0, 4.0),
             ).observe(measured_s / expected_s, site=self.name)
-        if self.tracer.enabled:
-            self.tracer.emit(
+        if self.sim.tracer.enabled:
+            self.sim.tracer.emit(
                 EventKind.TASKPERF_UPDATE, source=f"sm:{self.name}",
                 task_type=task_type, host=host,
                 expected_s=expected_s, measured_s=measured_s,
@@ -358,7 +354,7 @@ class SiteManager:
             raise SiteOverloaded(self.name, self.occupancy)
         return select_hosts(
             afg, self.repository, model,
-            tracer=self.tracer, metrics=self.sim.metrics,
+            tracer=self.sim.tracer, metrics=self.sim.metrics,
             health_of=self._health_of,
         )
 

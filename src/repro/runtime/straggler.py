@@ -40,7 +40,6 @@ from typing import Deque, Dict, List, Optional
 
 from repro.sim.kernel import Simulator
 from repro.trace.events import EventKind
-from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "HealthPolicy",
@@ -220,11 +219,9 @@ class HostHealth:
         self,
         sim: Simulator,
         policy: HealthPolicy = HealthPolicy(),
-        tracer: Tracer = NULL_TRACER,
     ):
         self.sim = sim
         self.policy = policy
-        self.tracer = tracer
         self._score: Dict[str, float] = {}
         self._updated: Dict[str, float] = {}
         self._quarantined_until: Dict[str, float] = {}
@@ -262,8 +259,8 @@ class HostHealth:
             self._quarantined_until[host] = (
                 self.sim.now + self.policy.probation_s
             )
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if self.sim.tracer.enabled:
+                self.sim.tracer.emit(
                     EventKind.QUARANTINE, source="health",
                     host=host, score=score, reason=reason,
                     origin=origin or "health",
@@ -289,8 +286,8 @@ class HostHealth:
             del self._quarantined_until[host]
             self._score[host] = self.policy.quarantine_threshold / 2.0
             self._updated[host] = self.sim.now
-            if self.tracer.enabled:
-                self.tracer.emit(
+            if self.sim.tracer.enabled:
+                self.sim.tracer.emit(
                     EventKind.PROBATION, source="health",
                     host=host, score=self._score[host],
                 )

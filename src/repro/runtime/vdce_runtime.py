@@ -178,30 +178,28 @@ class VDCERuntime:
         self.config = config
         self.model = model or PredictionModel()
         self.stats = RuntimeStats()
-        #: shared structured tracer (no-op by default); bound to the
-        #: virtual clock and handed to every component below
-        self.tracer = self.sim.attach_tracer(tracer)
-        #: shared metrics registry (no-op by default); components reach
-        #: it through ``self.sim.metrics``
-        self.metrics = self.sim.attach_metrics(metrics)
-        self.default_site = default_site or topology.site_names[0]
-        #: causal span recorder (repro.obs); the shared null object
-        #: unless both causal_spans and the tracer are enabled
-        self.spans = (
-            SpanRecorder(self.tracer)
-            if config.causal_spans and self.tracer.enabled
+        # the simulator holds the deployment's telemetry: every component
+        # below reads sim.tracer, sim.metrics and sim.spans.  Causal spans
+        # (repro.obs) stay the null recorder unless both causal_spans and
+        # the tracer are enabled.
+        self.sim.attach_tracer(tracer)
+        self.sim.attach_metrics(metrics)
+        self.sim.spans = (
+            SpanRecorder(tracer)
+            if config.causal_spans and tracer.enabled
             else NULL_SPANS
         )
+        self.default_site = default_site or topology.site_names[0]
         #: federation brownout controller (overload backpressure); None
         #: when the overload policy is disabled
         self.brownout: Optional[BrownoutController] = (
-            BrownoutController(self.sim, config.overload, tracer=self.tracer)
+            BrownoutController(self.sim, config.overload)
             if config.overload is not None
             else None
         )
         #: per-WAN-link circuit breakers; None when disabled
         self.breakers: Optional[BreakerRegistry] = (
-            BreakerRegistry(self.sim, config.breaker, tracer=self.tracer)
+            BreakerRegistry(self.sim, config.breaker)
             if config.breaker is not None
             else None
         )
@@ -211,12 +209,11 @@ class VDCERuntime:
         #: retrying control-plane messaging shared by every component
         self.control = ControlPlane(
             self.sim, topology.network, stats=self.stats,
-            policy=config.rpc_policy, tracer=self.tracer,
-            spans=self.spans, breakers=self.breakers,
+            policy=config.rpc_policy, breakers=self.breakers,
         )
         #: host health scoring (straggler defense); None when disabled
         self.health: Optional[HostHealth] = (
-            HostHealth(self.sim, config.health, tracer=self.tracer)
+            HostHealth(self.sim, config.health)
             if config.health is not None
             else None
         )
@@ -245,9 +242,7 @@ class VDCERuntime:
             manager = SiteManager(
                 self.sim, site, self.repositories[site_name], self.stats,
                 lan_latency_s=lan_latency,
-                tracer=self.tracer,
                 health=self.health,
-                spans=self.spans,
                 brownout=self.brownout,
             )
             self.site_managers[site_name] = manager
@@ -259,7 +254,6 @@ class VDCERuntime:
                     lan_latency_s=lan_latency,
                     echo_loss_prob=config.echo_loss_prob,
                     suspicion_threshold=config.suspicion_threshold,
-                    tracer=self.tracer,
                     control=self.control,
                     lan_link=topology.network.lan_link(site_name),
                     detector=config.detector,
@@ -267,7 +261,6 @@ class VDCERuntime:
                     phi_down=config.phi_down,
                     echo_timeout_s=config.echo_timeout_s,
                     health=self.health,
-                    spans=self.spans,
                 )
                 manager.attach_group_manager(gm)
                 self.group_managers[gm.name] = gm
@@ -276,13 +269,11 @@ class VDCERuntime:
                         self.sim, host, gm, self.stats,
                         period_s=config.monitor_period_s,
                         lan_latency_s=lan_latency,
-                        tracer=self.tracer,
                     )
                     controller = AppController(
                         self.sim, host, self.stats,
                         load_threshold=config.load_threshold,
                         check_period_s=config.check_period_s,
-                        tracer=self.tracer,
                     )
                     manager.attach_app_controller(controller)
                     self.app_controllers[host.name] = controller
@@ -300,16 +291,12 @@ class VDCERuntime:
         #: end-to-end data integrity (artifact hashes + repair ladder);
         #: None when disabled — no hashing, no verification, no repair
         self.integrity: Optional[IntegrityManager] = (
-            IntegrityManager(
-                self.sim, config.data_integrity,
-                tracer=self.tracer, metrics=self.metrics,
-            )
+            IntegrityManager(self.sim, config.data_integrity)
             if config.data_integrity is not None
             else None
         )
         self.io_service = IOService(
-            self.sim, topology.network, self.stats, tracer=self.tracer,
-            integrity=self.integrity,
+            self.sim, topology.network, self.stats, integrity=self.integrity,
         )
         self.console = ConsoleService(self.sim)
         self._monitoring_started = False
@@ -338,29 +325,30 @@ class VDCERuntime:
         ratio, then returns the registry.  Safe to call repeatedly; a
         no-op on the disabled registry.
         """
-        if self.metrics.enabled:
-            self.stats.export_to(self.metrics)
+        metrics = self.sim.metrics
+        if metrics.enabled:
+            self.stats.export_to(metrics)
             self.sim.export_metrics()
             reports = self.stats.workload_forwards + self.stats.workload_suppressed
-            self.metrics.gauge(
+            metrics.gauge(
                 "vdce_workload_suppression_ratio",
                 "share of monitor measurements the Group Managers filtered",
             ).set(
                 self.stats.workload_suppressed / reports if reports else 0.0
             )
             if self.admission_queues:
-                queued = self.metrics.gauge(
+                queued = metrics.gauge(
                     "vdce_admission_queued",
                     "applications waiting in the admission queue",
                 )
-                running = self.metrics.gauge(
+                running = metrics.gauge(
                     "vdce_admission_running",
                     "applications admitted and currently executing",
                 )
                 for queue in self.admission_queues:
                     queued.set(float(queue.queued), site=queue.site)
                     running.set(float(queue.running), site=queue.site)
-        return self.metrics
+        return metrics
 
     def neighbor_order(self, site_name: str) -> List[str]:
         return self.topology.neighbor_sites(site_name)
@@ -406,13 +394,16 @@ class VDCERuntime:
         scheduler = scheduler or SiteScheduler(k=2, model=self.model)
         local_site = local_site or self.default_site
         started = self.sim.now
-        span_id = self.tracer.begin_span(
+        tracer, spans, metrics = (
+            self.sim.tracer, self.sim.spans, self.sim.metrics
+        )
+        span_id = tracer.begin_span(
             "schedule", source=f"sm:{local_site}", application=afg.name
         )
         sched_span = None
-        if self.spans.enabled:
-            root = self.spans.root_of(afg.name, source=f"sm:{local_site}")
-            sched_span = self.spans.open(
+        if spans.enabled:
+            root = spans.root_of(afg.name, source=f"sm:{local_site}")
+            sched_span = spans.open(
                 SpanKind.SCHEDULE, afg.name, parent=root,
                 source=f"sm:{local_site}", site=local_site,
             )
@@ -426,8 +417,8 @@ class VDCERuntime:
             remote_server = self.topology.site(remote).server_host.name
             exchange_started = self.sim.now
             bid_span = None
-            if self.spans.enabled:
-                bid_span = self.spans.open(
+            if spans.enabled:
+                bid_span = spans.open(
                     SpanKind.BID_EXCHANGE, afg.name, parent=sched_span,
                     source=f"sm:{local_site}", remote=remote,
                 )
@@ -435,8 +426,8 @@ class VDCERuntime:
             def on_send(attempt: int) -> None:
                 # step 3: multicast the AFG (once per attempt on the wire)
                 self.stats.scheduler_messages += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.AFG_MULTICAST, source=f"sm:{local_site}",
                         application=afg.name, remote=remote, size_mb=afg_mb,
                         attempt=attempt,
@@ -450,8 +441,8 @@ class VDCERuntime:
                 bids = self.site_managers[remote].handle_scheduling_request(
                     afg, scheduler.model
                 )
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.BID_REPLY, source=f"sm:{remote}",
                         application=afg.name, bids=len(bids),
                     )
@@ -469,38 +460,38 @@ class VDCERuntime:
             except SiteOverloaded as exc:
                 # backpressure: the saturated site declined to bid.  Not
                 # a failure — placement proceeds with whoever answered.
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.SITE_OVERLOADED, source=f"sm:{local_site}",
                         application=afg.name, remote=remote,
                         occupancy=round(exc.occupancy, 9),
                     )
                 if bid_span is not None:
-                    self.spans.close(
+                    spans.close(
                         bid_span, source=f"sm:{local_site}",
                         status="overloaded",
                     )
                 return None
             except RpcTimeout:
-                if self.tracer.enabled:
-                    self.tracer.emit(
+                if tracer.enabled:
+                    tracer.emit(
                         EventKind.SITE_UNREACHABLE, source=f"sm:{local_site}",
                         application=afg.name, remote=remote, phase="scheduling",
                     )
                 if bid_span is not None:
-                    self.spans.close(
+                    spans.close(
                         bid_span, source=f"sm:{local_site}",
                         status="unreachable",
                     )
                 return None
-            if self.metrics.enabled:
-                self.metrics.histogram(
+            if metrics.enabled:
+                metrics.histogram(
                     "vdce_bid_latency_seconds",
                     "AFG multicast -> bid reply round trip per remote site",
                     buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
                 ).observe(self.sim.now - exchange_started, site=remote)
             if bid_span is not None:
-                self.spans.close(
+                spans.close(
                     bid_span, source=f"sm:{local_site}", bids=len(bids),
                 )
             return remote
@@ -518,18 +509,18 @@ class VDCERuntime:
 
         # placement itself (pure); its wall cost is negligible vs messages
         table = scheduler.schedule(
-            afg, view, tracer=self.tracer, metrics=self.metrics,
+            afg, view, tracer=tracer, metrics=metrics,
             health_of=(self.health.factor_of if self.health is not None
                        else None),
         )
-        self.tracer.end_span(span_id, source=f"sm:{local_site}")
+        tracer.end_span(span_id, source=f"sm:{local_site}")
         if sched_span is not None:
-            self.spans.close(
+            spans.close(
                 sched_span, source=f"sm:{local_site}",
                 sites_answered=len(answered), tasks=len(table),
             )
-        if self.metrics.enabled:
-            self.metrics.histogram(
+        if metrics.enabled:
+            metrics.histogram(
                 "vdce_schedule_seconds",
                 "distributed scheduling time (multicast + bids + placement)",
                 buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),

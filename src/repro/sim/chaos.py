@@ -831,7 +831,7 @@ def run_campaign(
                     raise
                 # the dead incarnation's open spans are orphan-marked;
                 # the restart opens a fresh root window for the app
-                runtime.spans.abandon_app(
+                sim.spans.abandon_app(
                     afg.name, reason="ManagerUnavailable", source="chaos"
                 )
                 checkpoint = ApplicationCheckpoint.from_records(
@@ -859,7 +859,7 @@ def run_campaign(
             }
             completed_runs[afg.name] = (coordinator.afg, result)
         except typed_errors as exc:
-            runtime.spans.abandon_app(
+            sim.spans.abandon_app(
                 afg.name, reason=type(exc).__name__, source="chaos"
             )
             outcomes[afg.name] = {
@@ -870,7 +870,7 @@ def run_campaign(
                 "detail": str(exc),
             }
         except Exception as exc:  # noqa: BLE001 — untyped = I1 violation
-            runtime.spans.abandon_app(
+            sim.spans.abandon_app(
                 afg.name, reason=type(exc).__name__, source="chaos"
             )
             outcomes[afg.name] = {
@@ -996,7 +996,7 @@ def run_campaign(
     # applications still in flight when the campaign stops leave their
     # spans open; mark them as orphans explicitly so I9 can tell a
     # deliberate cut-off from a silent leak
-    runtime.spans.orphan_all(reason="campaign_end", source="chaos")
+    sim.spans.orphan_all(reason="campaign_end", source="chaos")
 
     # -- audit ---------------------------------------------------------------
     violations: List[str] = []

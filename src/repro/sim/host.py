@@ -187,9 +187,6 @@ class Host:
         self._settle()
         execution = TaskExecution(self, work, memory_mb, label)
         self._running.append(execution)
-        self.sim.trace(
-            "exec.start", host=self.spec.name, label=execution.label, work=work
-        )
         if execution.remaining <= 0.0:
             # Zero-work tasks complete immediately (but asynchronously).
             self._running.remove(execution)
@@ -207,7 +204,6 @@ class Host:
         self._running.remove(execution)
         execution.finished_at = self.sim.now
         self.failed_count += 1
-        self.sim.trace("exec.cancel", host=self.spec.name, label=execution.label)
         execution.done.fail(
             cause if isinstance(cause, BaseException) else Interrupted(cause)
         )
@@ -247,7 +243,6 @@ class Host:
             return
         self._settle()
         self.slowdown = float(factor)
-        self.sim.trace("host.slowdown", host=self.spec.name, factor=factor)
         self._reschedule_completion()
 
     # -- failures ------------------------------------------------------------
@@ -259,7 +254,6 @@ class Host:
         self._settle()
         self.state = HostState.DOWN
         victims, self._running = self._running, []
-        self.sim.trace("host.down", host=self.spec.name, victims=len(victims))
         for execution in victims:
             execution.finished_at = self.sim.now
             self.failed_count += 1
@@ -271,7 +265,6 @@ class Host:
             return
         self._last_settle = self.sim.now
         self.state = HostState.UP
-        self.sim.trace("host.up", host=self.spec.name)
 
     # -- processor-sharing bookkeeping ----------------------------------------
 
@@ -323,12 +316,6 @@ class Host:
             execution.remaining = 0.0
             execution.finished_at = self.sim.now
             self.completed_count += 1
-            self.sim.trace(
-                "exec.done",
-                host=self.spec.name,
-                label=execution.label,
-                elapsed=execution.elapsed,
-            )
             execution.done.succeed(execution)
         self._reschedule_completion()
 

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 import numpy as np
 
+from repro.obs.spans import NULL_SPANS, SpanRecorder
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
 
@@ -401,7 +402,7 @@ class _ScheduledCall:
 
 
 class Simulator:
-    """The event loop: virtual clock, calendar queue, RNG streams, tracing.
+    """The event loop: virtual clock, calendar queue, RNG streams, telemetry.
 
     Parameters
     ----------
@@ -422,9 +423,11 @@ class Simulator:
         self._seq = itertools.count()
         self._rngs: dict[str, np.random.Generator] = {}
         self._failed: list[Process] = []
-        self._trace: Optional[list[tuple[float, str, dict]]] = None
         #: structured tracer (no-op unless a real Tracer is attached)
         self.tracer: Tracer = NULL_TRACER
+        #: causal span recorder (the null recorder unless a runtime
+        #: switches causal spans on)
+        self.spans: SpanRecorder = NULL_SPANS
         #: metrics registry (no-op unless a real registry is attached)
         self.metrics: MetricsRegistry = NULL_METRICS
         self._metric_events = NULL_METRICS.counter("")
@@ -449,8 +452,8 @@ class Simulator:
         """Install a structured tracer and bind it to the virtual clock.
 
         Kernel process lifecycle events (spawn/finish/fail) are emitted
-        whenever the attached tracer is enabled; the rest of the stack
-        shares the same tracer through :class:`~repro.runtime.vdce_runtime.VDCERuntime`.
+        whenever the attached tracer is enabled; every runtime component
+        reads the same tracer as ``sim.tracer``.
         """
         self.tracer = tracer
         tracer.bind_clock(lambda: self.now)
@@ -462,9 +465,8 @@ class Simulator:
         """Install a metrics registry and bind it to the virtual clock.
 
         The kernel contributes the event-loop instruments (events
-        processed, calendar-queue depth); the rest of the stack shares
-        the same registry through
-        :class:`~repro.runtime.vdce_runtime.VDCERuntime`.
+        processed, calendar-queue depth); every runtime component reads
+        the same registry as ``sim.metrics``.
         """
         self.metrics = registry
         registry.bind_clock(lambda: self.now)
@@ -489,19 +491,6 @@ class Simulator:
             "sim_events_per_sim_second",
             "events executed per unit of virtual time",
         ).set(self.events_processed / self.now if self.now > 0 else 0.0)
-
-    def enable_trace(self) -> None:
-        """Record ``(time, kind, payload)`` tuples for visualisation/tests."""
-        if self._trace is None:
-            self._trace = []
-
-    def trace(self, kind: str, **payload: Any) -> None:
-        if self._trace is not None:
-            self._trace.append((self.now, kind, payload))
-
-    @property
-    def trace_log(self) -> list[tuple[float, str, dict]]:
-        return list(self._trace or [])
 
     # -- scheduling -------------------------------------------------------
 

@@ -166,7 +166,6 @@ class Link:
         if self._completion_call is not None:
             self._completion_call.cancelled = True
             self._completion_call = None
-        self.sim.trace("net.link.down", link=self.spec.name, victims=len(victims))
         for t in victims:
             t.finished_at = self.sim.now
             t.done.fail(LinkDownError(self.spec.name, t.label))
@@ -177,7 +176,6 @@ class Link:
             return
         self.up = True
         self._last_settle = self.sim.now
-        self.sim.trace("net.link.up", link=self.spec.name)
 
     def transfer(self, size_mb: float, label: str = "xfer") -> Transfer:
         """Start a transfer; its ``done`` signal fires on completion.
@@ -215,7 +213,6 @@ class Link:
             return t
         # latency phase first, then join the shared-bandwidth phase
         self.sim.call_after(self.spec.latency_s, begin_bandwidth_phase)
-        self.sim.trace("net.xfer.start", link=self.spec.name, label=label, mb=size_mb)
         return t
 
     def _settle(self) -> None:
@@ -260,9 +257,6 @@ class Link:
             self._active.remove(t)
             t.finished_at = self.sim.now
             self._maybe_corrupt(t)
-            self.sim.trace(
-                "net.xfer.done", link=self.spec.name, label=t.label, elapsed=t.elapsed
-            )
             t.done.succeed(t)
         self._reschedule_completion()
 
@@ -284,9 +278,6 @@ class Link:
             return
         self.corruptions += 1
         self.corruption_log.append((self.sim.now, t.label, t.corruption))
-        self.sim.trace(
-            "net.xfer.corrupt", link=self.spec.name, label=t.label, mode=t.corruption
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Link({self.spec.name!r}, active={len(self._active)})"

@@ -135,9 +135,9 @@ class TestEventAttributionAudit:
 
 class TestQuarantineOrigin:
     def test_quarantine_carries_the_tipping_origin(self):
-        sim, tracer = Simulator(), Tracer()
-        health = HostHealth(sim, HealthPolicy(quarantine_threshold=2.0),
-                            tracer=tracer)
+        sim = Simulator()
+        tracer = sim.attach_tracer(Tracer())
+        health = HostHealth(sim, HealthPolicy(quarantine_threshold=2.0))
         health.penalize("h0", 1.0, "straggle", origin="gm:site-0")
         health.penalize("h0", 1.5, "straggle", origin="app:mapreduce")
         events = [e for e in tracer.events()
@@ -147,9 +147,9 @@ class TestQuarantineOrigin:
         assert events[0].data["host"] == "h0"
 
     def test_origin_defaults_to_health(self):
-        sim, tracer = Simulator(), Tracer()
-        health = HostHealth(sim, HealthPolicy(quarantine_threshold=1.0),
-                            tracer=tracer)
+        sim = Simulator()
+        tracer = sim.attach_tracer(Tracer())
+        health = HostHealth(sim, HealthPolicy(quarantine_threshold=1.0))
         health.penalize("h0", 2.0, "failure")
         [event] = [e for e in tracer.events()
                    if e.kind == EventKind.QUARANTINE]

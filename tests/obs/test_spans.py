@@ -1,5 +1,7 @@
-"""SpanRecorder unit tests: pairing, orphaning, the null object."""
+"""SpanRecorder unit tests: pairing, orphaning, the null object, and
+the recorder's place on the simulator."""
 
+from repro.metrics.registry import MetricsRegistry
 from repro.obs.attribution import span_integrity
 from repro.obs.spans import (
     NULL_SPAN,
@@ -8,6 +10,8 @@ from repro.obs.spans import (
     SpanKind,
     SpanRecorder,
 )
+from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.sim import TopologyBuilder
 from repro.trace.events import EventKind
 from repro.trace.tracer import Tracer
 
@@ -17,6 +21,12 @@ def make_recorder():
     clock = [0.0]
     tracer = Tracer(clock=lambda: clock[0])
     return clock, tracer, SpanRecorder(tracer)
+
+
+def two_host_topology():
+    builder = TopologyBuilder(seed=0)
+    builder.site("alpha", hosts=[("a1", 1.0, 256), ("a2", 2.0, 256)])
+    return builder.build()
 
 
 def span_events(tracer):
@@ -157,3 +167,36 @@ class TestNullRecorder:
         # call sites type against SpanRecorder; the null object must
         # substitute everywhere
         assert isinstance(NullSpanRecorder(), SpanRecorder)
+
+
+
+class TestSimulatorHoldsTheRecorder:
+    """Runtime components read the recorder as ``sim.spans``."""
+
+    def test_recorder_needs_causal_spans_and_an_enabled_tracer(self):
+        topo = two_host_topology()
+        assert topo.sim.spans is NULL_SPANS
+        VDCERuntime(topo, config=RuntimeConfig(causal_spans=True))
+        assert topo.sim.spans is NULL_SPANS
+        tracer = Tracer()
+        VDCERuntime(topo, tracer=tracer)
+        assert topo.sim.spans is NULL_SPANS
+        VDCERuntime(topo, config=RuntimeConfig(causal_spans=True),
+                    tracer=tracer)
+        assert topo.sim.spans.enabled
+        assert topo.sim.spans.tracer is tracer
+        VDCERuntime(topo, tracer=tracer)
+        assert topo.sim.spans is NULL_SPANS
+
+    def test_a_later_runtime_on_the_same_simulator_replaces_every_handle(self):
+        topo = two_host_topology()
+        first = VDCERuntime(topo)
+        tracer, metrics = Tracer(), MetricsRegistry()
+        VDCERuntime(topo, config=RuntimeConfig(causal_spans=True),
+                    tracer=tracer, metrics=metrics)
+        assert topo.sim.tracer is tracer
+        assert topo.sim.metrics is metrics
+        assert topo.sim.spans.tracer is tracer
+        # components built by the first runtime read the same handles
+        first.membership.drain_host("a2", deadline_s=0.5)
+        assert EventKind.HOST_DRAIN in [e.kind for e in tracer.events()]

@@ -244,7 +244,7 @@ class TestShedAttribution:
         s1 = queue.submit(chain_afg(n=1, name="starved"), "admin")
         outcomes = wait_all(rt, [s0, s1])
         assert outcomes["starved"] == "expired"
-        report = explain(rt.tracer.events())
+        report = explain(rt.sim.tracer.events())
         assert report["schema_version"] == ATTRIBUTION_SCHEMA_VERSION
         breakdown = report["apps"]["starved"]["breakdown"]
         # the whole wait (submit -> TTL expiry) is attributed to "shed"

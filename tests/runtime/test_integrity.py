@@ -236,7 +236,7 @@ class TestDefaultOffNeutrality:
             # fault-free runs draw zero extra randomness
             assert not [s for s in rt.sim._rngs if s.startswith("corrupt:")]
             hashes[label] = (
-                trace_hash(rt.tracer),
+                trace_hash(rt.sim.tracer),
                 rt.export_metrics().snapshot_hash(),
             )
         assert hashes["off"] == hashes["on"]

@@ -193,10 +193,7 @@ class TestRetireAndRejoin:
 
     def test_transitions_are_traced(self):
         tracer = Tracer()
-        runtime = build_runtime(config=None)
-        runtime.tracer = tracer  # not wired post-hoc into components...
-        # ...so drive the coordinator's own tracer directly
-        runtime.membership.tracer = tracer
+        runtime = build_runtime(tracer=tracer)
         runtime.membership.drain_host("a2", deadline_s=0.5)
         runtime.sim.run(until=1.0)
         runtime.membership.rejoin_host("a2")
