@@ -808,7 +808,6 @@ class ExecutionCoordinator:
         network = self.runtime.topology.network
         metrics = self.sim.metrics
         policy = self.data_policy
-        rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
         for attempt in range(1, policy.max_attempts + 1):
             transfer = network.transfer(src_host, dst_host, size_mb, label=label)
             self._transfers += 1
@@ -843,6 +842,9 @@ class ExecutionCoordinator:
                         EventKind.TRANSFER_RETRY, source=f"app:{self.afg.name}",
                         label=label, attempt=attempt, reason=str(exc),
                     )
+                # the stream is built on first use: a fault-free run
+                # never draws from it
+                rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
                 yield Timeout(policy.backoff(attempt, float(rng.uniform())))
                 if edge is not None:
                     try:
@@ -1224,7 +1226,6 @@ class ExecutionCoordinator:
         """
         policy = self.data_policy
         integrity = self.runtime.integrity
-        rng = self.sim.rng(f"retry:{self.afg.name}:stage:{spec.path}")
         refetches_left = (
             integrity.policy.max_refetches if integrity is not None else 0
         )
@@ -1271,6 +1272,7 @@ class ExecutionCoordinator:
                         label=f"stage:{spec.path}", attempt=attempt,
                         reason=str(exc),
                     )
+                rng = self.sim.rng(f"retry:{self.afg.name}:stage:{spec.path}")
                 yield Timeout(policy.backoff(attempt, float(rng.uniform())))
         raise ExecutionError(
             f"staging {spec.path!r} onto {dst_host} exhausted "

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.task import TaskNode
@@ -119,46 +119,58 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
     return records
 
 
-def _reachability(afg: ApplicationFlowGraph) -> Dict[str, Set[str]]:
-    """task -> set of tasks ordered with it (ancestors + descendants).
+def _reachability(
+    afg: ApplicationFlowGraph,
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """Each task's bit and related mask, as ``(index, related)``.
+
+    ``index[t]`` is ``t``'s position in the topological order, so its
+    bit is ``1 << index[t]``; ``related[t]`` is the int whose set bits
+    are the tasks ordered with ``t`` (its ancestors and descendants),
+    built with int OR in one forward and one backward pass.
 
     Memoized on the graph object against its ``structure_version``:
     every participating site computes reachability for the *same*
-    multicast AFG, and the sets depend only on graph structure.  The
-    cached dict is shared read-only by all callers.
+    multicast AFG, and the masks depend only on graph structure.  The
+    cached dicts are shared read-only by all callers.
     """
     cached = getattr(afg, "_reachability_cache", None)
     version = afg.structure_version
     if cached is not None and cached[0] == version:
         return cached[1]
     order = afg.topological_order()
-    ancestors: Dict[str, Set[str]] = {}
+    index = {task_id: i for i, task_id in enumerate(order)}
+    ancestors: Dict[str, int] = {}
     for task_id in order:
-        acc: Set[str] = set()
+        acc = 0
         for parent in afg.parents(task_id):
-            acc.add(parent)
-            acc |= ancestors[parent]
+            acc |= (1 << index[parent]) | ancestors[parent]
         ancestors[task_id] = acc
-    related: Dict[str, Set[str]] = {t: set(ancestors[t]) for t in order}
-    for task_id in order:
-        for ancestor in ancestors[task_id]:
-            related[ancestor].add(task_id)
-    afg._reachability_cache = (version, related)
-    return related
+    related: Dict[str, int] = {}
+    descendants: Dict[str, int] = {}
+    for task_id in reversed(order):
+        acc = 0
+        for child in afg.children(task_id):
+            acc |= (1 << index[child]) | descendants[child]
+        descendants[task_id] = acc
+        related[task_id] = acc | ancestors[task_id]
+    afg._reachability_cache = (version, (index, related))
+    return index, related
 
 
 class CommitmentLedger:
-    """In-round commitment accounting with O(|related|) queries.
+    """In-round commitment accounting on task bitsets.
 
     The question is "how many tasks already placed on host ``R`` this
     round can run concurrently with ``task_i``?" — the placements on
     ``R`` that are neither ancestors nor descendants of ``task_i``.
     Rescanning every commitment on ``R`` for every (task, host)
     prediction costs O(total commitments) per pair, quadratic over a
-    large bag.  The ledger keeps per-host totals and, once per queried
-    task, a per-host count of that task's *related* (ordered)
-    placements; the concurrent count is then ``total[R] -
-    related_on[R]`` in O(1).
+    large bag.  The ledger keeps, per host, the number of placements
+    and the mask of placed tasks (bits from :func:`_reachability`); the
+    concurrent count is then ``total[R] - popcount(related & placed[R])``,
+    one AND and one popcount over n bits per query, with no per-task
+    walk.
 
     Exactness: every committed task appears at most once per host (bid
     host groups are duplicate-free), and relatedness is symmetric, so
@@ -167,59 +179,48 @@ class CommitmentLedger:
     ``tests/scheduler/test_commitment_ledger.py``.
     """
 
-    def __init__(self, related: Dict[str, Set[str]]):
-        self._related = related
+    def __init__(self, reachability: Tuple[Dict[str, int], Dict[str, int]]):
+        self._index, self._related = reachability
         self._total: Dict[str, int] = {}
-        self._placed_on: Dict[str, Tuple[str, ...]] = {}
-        self._for_task: Optional[str] = None
-        self._related_on: Dict[str, int] = {}
+        #: host -> mask of the tasks placed on it this round
+        self._placed: Dict[str, int] = {}
 
     def commit(self, task_id: str, hosts: Tuple[str, ...]) -> None:
         """Record ``task_id`` as placed on ``hosts`` this round."""
-        self._placed_on[task_id] = tuple(hosts)
+        bit = 1 << self._index[task_id]
         total = self._total
+        placed = self._placed
         for host in hosts:
             total[host] = total.get(host, 0) + 1
-        self._for_task = None  # per-task overlap is stale now
+            placed[host] = placed.get(host, 0) | bit
 
     def extra_load_fn(self, task_id: str):
         """A one-argument ``extra_load_of`` bound to ``task_id``.
 
-        Precomputes the related-placement overlay now and returns a
-        flat closure — one call per host query instead of the
+        Returns a flat closure — one call per host query instead of a
         closure -> method trampoline, which the profile showed costing
         as much as the arithmetic it wrapped.
         """
-        if task_id != self._for_task:
-            self._begin(task_id)
         total_get = self._total.get
-        related_on = self._related_on
-        if not related_on:
-            # bag-of-tasks / entry-wave common case: nothing placed so
-            # far is ordered with this task, the count is the raw total
-            # (an int — exact under IEEE promotion, and int and float
-            # loads hash to the same memo key)
+        related = self._related[task_id]
+        if not related:
+            # bag-of-tasks common case: no task is ordered with this
+            # one, the count is the raw total (an int — exact under IEEE
+            # promotion, and int and float loads hash to the same memo
+            # key)
             def extra_load_of(host_name: str) -> float:
                 return total_get(host_name, 0)
 
             return extra_load_of
-        related_get = related_on.get
+        placed_get = self._placed.get
 
         def extra_load_of(host_name: str) -> float:
-            return float(total_get(host_name, 0) - related_get(host_name, 0))
+            return float(
+                total_get(host_name, 0)
+                - (related & placed_get(host_name, 0)).bit_count()
+            )
 
         return extra_load_of
-
-    def _begin(self, task_id: str) -> None:
-        related_on: Dict[str, int] = {}
-        placed_on = self._placed_on
-        for other in self._related[task_id]:
-            hosts = placed_on.get(other)
-            if hosts:
-                for host in hosts:
-                    related_on[host] = related_on.get(host, 0) + 1
-        self._related_on = related_on
-        self._for_task = task_id
 
 
 def _no_extra_load(host_name: str) -> float:

@@ -437,7 +437,14 @@ class Simulator:
     # -- randomness -----------------------------------------------------
 
     def rng(self, name: str) -> np.random.Generator:
-        """Named deterministic RNG stream (stable across runs and platforms)."""
+        """Named deterministic RNG stream (stable across runs and platforms).
+
+        Building a stream costs tens of microseconds (a ``SeedSequence``
+        and a generator), and the stream lives as long as the simulator.
+        Streams are keyed by name, so when one is first asked for never
+        changes what it yields: hot paths should ask for a stream only
+        when they draw from it.
+        """
         if name not in self._rngs:
             child = np.random.SeedSequence(
                 entropy=self.seed,

@@ -2,10 +2,13 @@
 
 :class:`~repro.scheduler.host_selection.CommitmentLedger` answers "how
 many tasks placed on host ``h`` this round can run concurrently with
-task ``t``?" from running totals.  The oracle below answers the same
-question the plain way — rescan every placement on ``h`` and count the
-ones that are neither ancestors nor descendants of ``t`` — and the two
-must agree for any DAG and any commit sequence.
+task ``t``?" from per-host counts and task bitsets.  The oracle below
+answers the same question the plain way — walk the graph's parent and
+child links for the tasks ordered with ``t``, rescan every placement on
+``h`` and count the ones outside that set — and the two must agree for
+any DAG and any commit sequence.  The oracle never reads
+:func:`~repro.scheduler.host_selection._reachability`, so a wrong mask
+cannot pass both; the masks are also checked against the walk directly.
 
 The site scheduler walks its ready set through a heap; the oracle
 re-scans the ready set for ``max((level, id))`` on every step, and the
@@ -33,26 +36,50 @@ dags = st.builds(
     seed=st.integers(min_value=0, max_value=10_000),
 )
 
+#: deep, narrow DAGs: masks of 64-200 bits span several int digits
+large_dags = st.builds(
+    RandomDAGConfig,
+    n_tasks=st.integers(min_value=64, max_value=200),
+    width=st.integers(min_value=1, max_value=4),
+    max_fan_in=st.integers(min_value=1, max_value=3),
+    cost_heterogeneity=st.sampled_from((0.0, 0.5)),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
 
-def _naive_extra_load(placements, related, task_id, host):
+
+def _walk(afg, task_id, step):
+    """Every task reachable from ``task_id`` by repeated ``step`` links."""
+    seen = set()
+    stack = list(step(task_id))
+    while stack:
+        other = stack.pop()
+        if other not in seen:
+            seen.add(other)
+            stack.extend(step(other))
+    return seen
+
+
+def _ordered_with(afg, task_id):
+    """Ancestors and descendants of ``task_id``, by graph walk."""
+    return _walk(afg, task_id, afg.parents) | _walk(afg, task_id, afg.children)
+
+
+def _naive_extra_load(afg, placements, task_id, host):
     """Placements on ``host`` not ordered with ``task_id``, by rescan."""
+    related = _ordered_with(afg, task_id)
     return float(sum(
         1 for other, hosts in placements
-        if host in hosts and other not in related[task_id]
+        if host in hosts and other not in related
     ))
 
 
-@settings(max_examples=60, deadline=None)
-@given(config=dags, data=st.data())
-def test_ledger_matches_a_naive_rescan(config, data):
-    afg = random_dag(config)
-    related = _reachability(afg)
+def _check_ledger(afg, data):
     tasks = sorted(t.id for t in afg)
     # each task placed at most once, on a duplicate-free host group —
     # the shape every scheduler commit has
     order = data.draw(st.permutations(tasks))
     n_commits = data.draw(st.integers(min_value=0, max_value=len(order)))
-    ledger = CommitmentLedger(related)
+    ledger = CommitmentLedger(_reachability(afg))
     placements = []
     for task_id in order[:n_commits]:
         for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
@@ -60,7 +87,7 @@ def test_ledger_matches_a_naive_rescan(config, data):
             extra_load_of = ledger.extra_load_fn(probe)
             for host in HOSTS:
                 assert extra_load_of(host) == _naive_extra_load(
-                    placements, related, probe, host)
+                    afg, placements, probe, host)
         hosts = tuple(data.draw(st.lists(
             st.sampled_from(HOSTS), min_size=1, max_size=3, unique=True)))
         ledger.commit(task_id, hosts)
@@ -69,7 +96,32 @@ def test_ledger_matches_a_naive_rescan(config, data):
         extra_load_of = ledger.extra_load_fn(probe)
         for host in HOSTS:
             assert extra_load_of(host) == _naive_extra_load(
-                placements, related, probe, host)
+                afg, placements, probe, host)
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=dags, data=st.data())
+def test_ledger_matches_a_naive_rescan(config, data):
+    _check_ledger(random_dag(config), data)
+
+
+@settings(max_examples=15, deadline=None)
+@given(config=large_dags, data=st.data())
+def test_ledger_matches_a_naive_rescan_on_multi_digit_masks(config, data):
+    _check_ledger(random_dag(config), data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=st.one_of(dags, large_dags))
+def test_reachability_masks_equal_the_graph_walk(config):
+    afg = random_dag(config)
+    index, related = _reachability(afg)
+    by_bit = {i: task_id for task_id, i in index.items()}
+    assert sorted(by_bit) == list(range(len(afg)))
+    for task in afg:
+        mask = related[task.id]
+        members = {by_bit[i] for i in range(mask.bit_length()) if mask >> i & 1}
+        assert members == _ordered_with(afg, task.id)
 
 
 def _scan_order(afg, levels):
